@@ -2,7 +2,8 @@
 //! one-fixpoint-per-bundle read path vs the per-condition sharded
 //! fixpoint vs the single-graph batch BFS, across shard counts ×
 //! crossing rates) as `BENCH_p12.json`, plus human-readable tables on
-//! stdout.
+//! stdout. Every timing carries its mean (`*_ms`), minimum and median
+//! over the repetitions.
 //!
 //! ```text
 //! cargo run --release -p socialreach-bench --bin p12-snapshot           # default sizes
@@ -15,7 +16,7 @@ use socialreach_bench::p12::{
     assert_batched_matches_oracles, build_sharded, build_single, bundle_work_census, case,
     run_batched, run_per_condition,
 };
-use socialreach_bench::{quick_mode, time_avg, Table};
+use socialreach_bench::{quick_mode, time_spread, Spread, Table};
 
 fn main() {
     let out_path = std::env::args()
@@ -97,14 +98,19 @@ fn main() {
             ]));
 
             // 2. Bundle timings: batched vs per-condition vs single.
-            let batched = time_avg(reps, || run_batched(&case, sharded.reads()));
-            let per_cond = time_avg(reps, || run_per_condition(&case, sharded_sys));
-            let single_t = time_avg(reps, || run_batched(&case, single.reads()));
-            let (b_ms, p_ms, s_ms) = (
-                batched.as_secs_f64() * 1e3,
-                per_cond.as_secs_f64() * 1e3,
-                single_t.as_secs_f64() * 1e3,
-            );
+            let batched = time_spread(reps, || run_batched(&case, sharded.reads()));
+            let per_cond = time_spread(reps, || run_per_condition(&case, sharded_sys));
+            let single_t = time_spread(reps, || run_batched(&case, single.reads()));
+            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+            let (b_ms, p_ms, s_ms) = (ms(batched.mean), ms(per_cond.mean), ms(single_t.mean));
+            // `{name}_ms` (mean) plus `{name}_min_ms`/`{name}_median_ms`.
+            let spread = |name: &str, t: &Spread| {
+                [
+                    (format!("{name}_ms"), Value::Float(ms(t.mean))),
+                    (format!("{name}_min_ms"), Value::Float(ms(t.min))),
+                    (format!("{name}_median_ms"), Value::Float(ms(t.median))),
+                ]
+            };
             timing_table.row(vec![
                 case.name.clone(),
                 format!("{b_ms:.3}"),
@@ -113,17 +119,18 @@ fn main() {
                 format!("{:.2}x", p_ms / b_ms),
                 format!("{:.2}x", s_ms / b_ms),
             ]);
-            timing_rows.push(Value::Map(vec![
+            let mut row = vec![
                 ("case".into(), Value::Str(case.name.clone())),
                 ("shards".into(), Value::Int(shards as i64)),
                 ("cross_fraction".into(), Value::Float(cross)),
                 ("conditions".into(), Value::Int(conditions as i64)),
-                ("batched_ms".into(), Value::Float(b_ms)),
-                ("per_condition_ms".into(), Value::Float(p_ms)),
-                ("single_ms".into(), Value::Float(s_ms)),
-                ("speedup_vs_per_condition".into(), Value::Float(p_ms / b_ms)),
-                ("ratio_vs_single".into(), Value::Float(s_ms / b_ms)),
-            ]));
+            ];
+            row.extend(spread("batched", &batched));
+            row.extend(spread("per_condition", &per_cond));
+            row.extend(spread("single", &single_t));
+            row.push(("speedup_vs_per_condition".into(), Value::Float(p_ms / b_ms)));
+            row.push(("ratio_vs_single".into(), Value::Float(s_ms / b_ms)));
+            timing_rows.push(Value::Map(row));
         }
     }
 
@@ -144,7 +151,8 @@ fn main() {
                  (seeded multi-source mask BFS, per-shard visited state persisted across rounds) \
                  vs the per-condition sharded fixpoint and the single-graph batch BFS, on \
                  controlled-crossing CrossShardTopology graphs with cross-shard policy bundles; \
-                 equivalence asserted before every measurement"
+                 equivalence asserted before every measurement; *_ms are means, *_min_ms and \
+                 *_median_ms the spread over the repetitions"
                     .into(),
             ),
         ),

@@ -55,9 +55,8 @@ fn main() {
     let mut table = Table::new(&["backend", "read", "static (ms)", "dyn (ms)", "dyn/static"]);
 
     for svc in backends(&case) {
-        // Trait-vs-inherent call parity is the smoke gate: the three
-        // call paths must be semantically identical before any of them
-        // is timed.
+        // Static-vs-dyn call parity is the smoke gate: the two call
+        // paths must be semantically identical before either is timed.
         assert_call_parity(&case, &svc);
         let name = svc.reads().describe();
 
@@ -139,7 +138,7 @@ fn main() {
                 "Cost of the deployment-agnostic service seam: audience_batch and check_batch \
                  through &dyn AccessService (virtual dispatch) vs statically dispatched trait \
                  calls on the concrete backend, on the single-graph and sharded deployments; \
-                 trait-vs-inherent call parity asserted before measuring. One virtual call \
+                 static-vs-dyn call parity asserted before measuring. One virtual call \
                  amortizes over an entire batch traversal, so dyn/static should sit within \
                  measurement noise (acceptance: <= 1.05 on batch reads)"
                     .into(),

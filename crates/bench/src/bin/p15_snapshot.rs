@@ -1,7 +1,8 @@
 //! Records experiment P15 (shared-prefix query-plan sharing: the
-//! `core::query::plan` trie vs the identical-expression grouping
-//! baseline, on prefix-sharing vs disjoint bundle regimes, single and
-//! sharded) as `BENCH_p15.json`, plus human-readable tables on stdout.
+//! `core::query::plan` trie vs the per-condition strategy, on
+//! prefix-sharing vs disjoint bundle regimes, single and sharded) as
+//! `BENCH_p15.json`, plus human-readable tables on stdout. Every
+//! timing carries its minimum and median over the repetitions.
 //!
 //! ```text
 //! cargo run --release -p socialreach-bench --bin p15-snapshot           # default sizes
@@ -11,10 +12,11 @@
 
 use serde::Value;
 use socialreach_bench::p15::{
-    assert_plan_matches_grouped, build_sharded, build_single, bundle_work_census, case,
-    run_bundles, with_plan_mode,
+    assert_plan_matches_per_condition, build_sharded, build_single, bundle_work_census, case,
+    run_bundles,
 };
-use socialreach_bench::{quick_mode, time_min, Table};
+use socialreach_bench::{quick_mode, time_spread, Table};
+use socialreach_core::BundleStrategy;
 
 /// Pins glibc's heap-trim and mmap thresholds by re-executing once
 /// with the standard `MALLOC_*` knobs set (they are only read at
@@ -22,10 +24,10 @@ use socialreach_bench::{quick_mode, time_min, Table};
 /// per-shard state is one large contiguous block per chunk, and once
 /// earlier cases have grown and shrunk the heap, glibc returns that
 /// block to the OS on every free — so later trie passes re-fault the
-/// pages in while the grouping baseline's smaller per-expression
-/// blocks stay cached in the arena, and the ratio measures the
-/// allocator instead of the traversal. Both modes run under the same
-/// pinned allocator.
+/// pages in while the per-condition baseline's smaller blocks stay
+/// cached in the arena, and the ratio measures the allocator instead
+/// of the traversal. Both strategies run under the same pinned
+/// allocator.
 fn pin_allocator_and_reexec() {
     if std::env::var_os("MALLOC_TRIM_THRESHOLD_").is_some() {
         return;
@@ -62,14 +64,16 @@ fn main() {
         "plan states",
         "expr states",
         "prefix share",
-        "grouped fixpoints",
+        "per-cond fixpoints",
     ]);
     let mut timing_table = Table::new(&[
         "case",
         "backend",
-        "trie (ms)",
-        "grouped (ms)",
-        "grouped/trie",
+        "trie min (ms)",
+        "trie median (ms)",
+        "per-cond min (ms)",
+        "per-cond median (ms)",
+        "per-cond/trie",
     ]);
 
     for regime in ["shared", "disjoint"] {
@@ -77,15 +81,16 @@ fn main() {
             let case = case(nodes, shards, regime, bundles);
             let single = build_single(&case);
             let sharded = build_sharded(&case);
-            assert_plan_matches_grouped(&case, single.reads(), sharded.reads());
+            assert_plan_matches_per_condition(&case, single.reads(), sharded.reads());
 
             let conditions: usize = case.bundles.iter().map(Vec::len).sum();
 
             // 1. Work census: how much of the expression-tree state
             //    space the trie folds away, and the fixpoint collapse
-            //    vs grouping.
-            let plan_work = bundle_work_census(&case, sharded.reads(), false);
-            let grouped_work = bundle_work_census(&case, sharded.reads(), true);
+            //    vs per-condition evaluation.
+            let plan_work = bundle_work_census(&case, sharded.reads(), BundleStrategy::Batched);
+            let per_cond_work =
+                bundle_work_census(&case, sharded.reads(), BundleStrategy::PerCondition);
             let share = plan_work.prefix_share().unwrap_or(0.0);
             census_table.row(vec![
                 case.name.clone(),
@@ -94,7 +99,7 @@ fn main() {
                 plan_work.plan_states.to_string(),
                 plan_work.expr_states.to_string(),
                 format!("{share:.2}"),
-                grouped_work.traversals.to_string(),
+                per_cond_work.traversals.to_string(),
             ]);
             census_rows.push(Value::Map(vec![
                 ("case".into(), Value::Str(case.name.clone())),
@@ -115,22 +120,28 @@ fn main() {
                 ),
                 ("prefix_share".into(), Value::Float(share)),
                 (
-                    "grouped_fixpoints".into(),
-                    Value::Int(grouped_work.traversals as i64),
+                    "per_condition_fixpoints".into(),
+                    Value::Int(per_cond_work.traversals as i64),
                 ),
             ]));
 
-            // 2. Bundle timings, trie vs grouped, on both backends.
+            // 2. Bundle timings, trie vs per-condition, on both
+            //    backends.
             for (backend, svc) in [("single", single.reads()), ("sharded", sharded.reads())] {
-                let trie = with_plan_mode(false, || time_min(reps, || run_bundles(&case, svc)));
-                let grouped = with_plan_mode(true, || time_min(reps, || run_bundles(&case, svc)));
-                let (t_ms, g_ms) = (trie.as_secs_f64() * 1e3, grouped.as_secs_f64() * 1e3);
+                let trie = time_spread(reps, || run_bundles(&case, svc, BundleStrategy::Batched));
+                let per_cond = time_spread(reps, || {
+                    run_bundles(&case, svc, BundleStrategy::PerCondition)
+                });
+                let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+                let (t_ms, p_ms) = (ms(trie.min), ms(per_cond.min));
                 timing_table.row(vec![
                     case.name.clone(),
                     backend.to_string(),
                     format!("{t_ms:.3}"),
-                    format!("{g_ms:.3}"),
-                    format!("{:.2}x", g_ms / t_ms),
+                    format!("{:.3}", ms(trie.median)),
+                    format!("{p_ms:.3}"),
+                    format!("{:.3}", ms(per_cond.median)),
+                    format!("{:.2}x", p_ms / t_ms),
                 ]);
                 timing_rows.push(Value::Map(vec![
                     ("case".into(), Value::Str(case.name.clone())),
@@ -139,8 +150,13 @@ fn main() {
                     ("backend".into(), Value::Str(backend.into())),
                     ("conditions".into(), Value::Int(conditions as i64)),
                     ("trie_ms".into(), Value::Float(t_ms)),
-                    ("grouped_ms".into(), Value::Float(g_ms)),
-                    ("speedup_vs_grouped".into(), Value::Float(g_ms / t_ms)),
+                    ("trie_median_ms".into(), Value::Float(ms(trie.median))),
+                    ("per_condition_ms".into(), Value::Float(p_ms)),
+                    (
+                        "per_condition_median_ms".into(),
+                        Value::Float(ms(per_cond.median)),
+                    ),
+                    ("speedup_vs_per_condition".into(), Value::Float(p_ms / t_ms)),
                 ]));
             }
         }
@@ -148,9 +164,7 @@ fn main() {
 
     println!("\nP15.1 — shared-prefix plan work census (sharded backend)");
     println!("{}", census_table.render());
-    println!(
-        "P15.2 — audience bundles: trie plan vs identical-expression grouping ({cores} cores)"
-    );
+    println!("P15.2 — audience bundles: trie plan vs per-condition ({cores} cores)");
     println!("{}", timing_table.render());
 
     let doc = Value::Map(vec![
@@ -163,10 +177,11 @@ fn main() {
             Value::Str(
                 "Shared-prefix query-plan sharing: the core::query::plan trie (one masked \
                  fixpoint per 64 conditions, shared step prefixes entered once, condition masks \
-                 forked at divergence) vs the identical-expression grouping baseline \
-                 (SOCIALREACH_BUNDLE_PLAN=grouped), on prefix-sharing vs disjoint policy bundles \
-                 over cross-heavy CrossShardTopology graphs; trie ≡ grouped ≡ single-graph \
-                 equivalence asserted before every measurement"
+                 forked at divergence) vs the per-condition strategy (one fixpoint per \
+                 condition), on prefix-sharing vs disjoint policy bundles over cross-heavy \
+                 CrossShardTopology graphs; trie ≡ per-condition ≡ single-graph equivalence \
+                 asserted before every measurement; *_ms are minima and *_median_ms medians \
+                 over the repetitions"
                     .into(),
             ),
         ),

@@ -105,6 +105,38 @@ pub fn time_min(n: usize, mut f: impl FnMut()) -> Duration {
     best
 }
 
+/// Run-to-run spread of `n` invocations (after one warm-up call):
+/// the minimum, the median and the mean wall-clock, so a committed
+/// number carries its noise band with it.
+#[derive(Clone, Copy, Debug)]
+pub struct Spread {
+    /// Fastest invocation.
+    pub min: Duration,
+    /// Median invocation.
+    pub median: Duration,
+    /// Mean over the invocations.
+    pub mean: Duration,
+}
+
+/// Times `n` invocations of `f` (after one warm-up call) individually
+/// and summarizes them as a [`Spread`].
+pub fn time_spread(n: usize, mut f: impl FnMut()) -> Spread {
+    f();
+    let mut samples: Vec<Duration> = (0..n.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    Spread {
+        min: samples[0],
+        median: samples[samples.len() / 2],
+        mean: samples.iter().sum::<Duration>() / samples.len() as u32,
+    }
+}
+
 /// Renders `bytes` with a binary-prefix unit.
 pub fn human_bytes(bytes: usize) -> String {
     const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];

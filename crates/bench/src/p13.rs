@@ -9,9 +9,9 @@
 //! acceptance bar is dyn within 5% of static on batch reads).
 //!
 //! Correctness is asserted before timing ([`assert_call_parity`]):
-//! static-dispatch trait calls, dyn-dispatch trait calls and the
-//! deprecated inherent methods must return identical decisions and
-//! audiences, so the measured paths cannot drift apart semantically.
+//! static-dispatch and dyn-dispatch trait calls must return identical
+//! decisions and audiences, so the measured paths cannot drift apart
+//! semantically.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,8 +76,7 @@ pub fn backends(case: &P13Case) -> Vec<ServiceInstance> {
 
 /// One audience-bundle pass, **statically** dispatched: the generic is
 /// monomorphized per backend, so the trait calls compile to direct
-/// calls — the "inherent call" baseline without touching deprecated
-/// surface.
+/// calls — the "inherent call" baseline.
 pub fn run_audiences_static<S: AccessService>(case: &P13Case, svc: &S) {
     let audiences = svc.audience_batch(&case.rids).expect("evaluates");
     std::hint::black_box(audiences.len());
@@ -105,9 +104,8 @@ pub fn run_checks_dyn(case: &P13Case, svc: &dyn AccessService, threads: usize) {
     std::hint::black_box(decisions.len());
 }
 
-/// Asserts trait-vs-inherent call parity on a backend: statically
-/// dispatched trait calls, dyn-dispatched trait calls and the
-/// deprecated inherent methods all return identical audiences and
+/// Asserts static-vs-dyn call parity on a backend: statically and
+/// dynamically dispatched trait calls return identical audiences and
 /// decisions (run once before measuring; the CI smoke step runs it on
 /// every backend).
 pub fn assert_call_parity(case: &P13Case, svc: &ServiceInstance) {
@@ -132,55 +130,28 @@ pub fn assert_call_parity(case: &P13Case, svc: &ServiceInstance) {
     let name = dyn_reads.describe();
     let dyn_audiences = dyn_reads.audience_batch(&case.rids).expect("evaluates");
     let dyn_decisions = dyn_reads.check_batch(&case.requests, 2).expect("evaluates");
-    #[allow(deprecated)]
-    match svc {
-        ServiceInstance::Single(sys) => {
-            check_against(
-                "static",
-                &name,
-                &dyn_audiences,
-                &dyn_decisions,
-                AccessService::audience_batch(sys, &case.rids).expect("evaluates"),
-                AccessService::check_batch(sys, &case.requests, 2).expect("evaluates"),
-            );
-            check_against(
-                "deprecated-inherent",
-                &name,
-                &dyn_audiences,
-                &dyn_decisions,
-                sys.audience_batch(&case.rids).expect("evaluates"),
-                sys.check_batch(&case.requests, 2).expect("evaluates"),
-            );
-        }
-        ServiceInstance::Sharded(sys) => {
-            check_against(
-                "static",
-                &name,
-                &dyn_audiences,
-                &dyn_decisions,
-                AccessService::audience_batch(sys, &case.rids).expect("evaluates"),
-                AccessService::check_batch(sys, &case.requests, 2).expect("evaluates"),
-            );
-            check_against(
-                "deprecated-inherent",
-                &name,
-                &dyn_audiences,
-                &dyn_decisions,
-                sys.audience_batch(&case.rids).expect("evaluates"),
-                sys.check_batch(&case.requests, 2).expect("evaluates"),
-            );
-        }
-        ServiceInstance::Networked(sys) => {
-            check_against(
-                "static",
-                &name,
-                &dyn_audiences,
-                &dyn_decisions,
-                AccessService::audience_batch(sys, &case.rids).expect("evaluates"),
-                AccessService::check_batch(sys, &case.requests, 2).expect("evaluates"),
-            );
-        }
+    let (audiences, decisions) = match svc {
+        ServiceInstance::Single(sys) => (
+            AccessService::audience_batch(sys, &case.rids),
+            AccessService::check_batch(sys, &case.requests, 2),
+        ),
+        ServiceInstance::Sharded(sys) => (
+            AccessService::audience_batch(sys, &case.rids),
+            AccessService::check_batch(sys, &case.requests, 2),
+        ),
+        ServiceInstance::Networked(sys) => (
+            AccessService::audience_batch(sys, &case.rids),
+            AccessService::check_batch(sys, &case.requests, 2),
+        ),
     };
+    check_against(
+        "static",
+        &name,
+        &dyn_audiences,
+        &dyn_decisions,
+        audiences.expect("evaluates"),
+        decisions.expect("evaluates"),
+    );
 }
 
 #[cfg(test)]

@@ -3,40 +3,37 @@
 //! The question: what does the **shared-prefix bundle plan** (the
 //! `core::query::plan` trie — one masked fixpoint per 64 conditions,
 //! every shared step prefix entered once with condition masks forked
-//! where paths diverge) buy over the previous **identical-expression
-//! grouping** (one masked fixpoint per *distinct* expression, prefixes
-//! re-walked once per expression)?
+//! where paths diverge) buy over the **per-condition** strategy (one
+//! fixpoint per distinct condition, every prefix re-walked once per
+//! condition)?
 //!
 //! Two bundle regimes over the same cross-heavy
 //! [`CrossShardTopology`] graphs answer it from both sides:
 //!
 //! * **shared** — every condition starts with the same expensive
 //!   two-step `friend+[1,2]/colleague+[1,2]` prefix and diverges only
-//!   in its tail, so the trie walks the fan-out once where grouping
-//!   walks it once per template;
-//! * **disjoint** — no two conditions share even their first step, so
-//!   the trie degenerates to grouping and must not regress.
+//!   in its tail, so the trie walks the fan-out once where per-condition
+//!   evaluation walks it once per condition;
+//! * **disjoint** — no two templates share even their first step, so
+//!   the trie shares only between owners of the same template.
 //!
-//! The grouping baseline is the engine's own escape hatch
-//! (`SOCIALREACH_BUNDLE_PLAN=grouped`, see
-//! [`socialreach_core::query::grouped_plan_forced`]), so both sides
-//! run the identical seeded-mask machinery and differ only in the
-//! plan. Correctness is asserted before timing
-//! ([`assert_plan_matches_grouped`]): trie ≡ grouped ≡ single-graph
-//! audiences on every measured bundle.
+//! The baseline is the planner's own per-condition strategy
+//! ([`BundleStrategy::PerCondition`]), which every backend serves.
+//! Correctness is asserted before timing
+//! ([`assert_plan_matches_per_condition`]): trie ≡ per-condition ≡
+//! single-graph audiences on every measured bundle.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socialreach_core::{
-    AccessService, Deployment, PolicyStore, ReadStats, ResourceId, ServiceInstance,
+    AccessService, BundleStrategy, Deployment, PolicyStore, ReadStats, ResourceId, ServiceInstance,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
 use socialreach_workload::CrossShardTopology;
 
 /// The six shared-regime templates: one expensive common prefix, six
 /// distinct tails (including the bare prefix itself, accepted at an
-/// inner trie node). Distinct expressions, so identical-expression
-/// grouping cannot merge any of them.
+/// inner trie node).
 const SHARED_TEMPLATES: [&str; 6] = [
     "friend+[1,2]/colleague+[1,2]",
     "friend+[1,2]/colleague+[1,2]/parent+[1]",
@@ -47,9 +44,9 @@ const SHARED_TEMPLATES: [&str; 6] = [
 ];
 
 /// The six disjoint-regime templates: pairwise-distinct first steps
-/// (label × depth-set), so the trie shares nothing and should match
-/// the grouping baseline. Shapes and depth sets mirror the shared
-/// regime's weight, so both regimes measure traversal, not setup.
+/// (label × depth-set), so the trie shares nothing across templates.
+/// Shapes and depth sets mirror the shared regime's weight, so both
+/// regimes measure traversal, not setup.
 const DISJOINT_TEMPLATES: [&str; 6] = [
     "friend+[1,2]/parent+[1,2]",
     "friend+[2]/colleague+[1,2]/parent+[1]",
@@ -137,73 +134,73 @@ pub fn build_single(case: &P15Case) -> ServiceInstance {
     Deployment::online().from_graph(&case.graph, case.store.clone())
 }
 
-/// Runs `f` with the bundle planner pinned to the trie (default) or
-/// to the identical-expression grouping baseline, restoring the
-/// default afterwards. The lever is re-read on every bundle read, so
-/// flipping it between timed passes is exact.
-pub fn with_plan_mode<T>(grouped: bool, f: impl FnOnce() -> T) -> T {
-    if grouped {
-        std::env::set_var("SOCIALREACH_BUNDLE_PLAN", "grouped");
-    } else {
-        std::env::remove_var("SOCIALREACH_BUNDLE_PLAN");
+/// One bundle read under `strategy`: the default batched read for
+/// [`BundleStrategy::Batched`] (the trie plan), the forced strategy
+/// otherwise.
+fn read_bundle(
+    svc: &dyn AccessService,
+    bundle: &[ResourceId],
+    strategy: BundleStrategy,
+) -> Vec<Vec<NodeId>> {
+    match strategy {
+        BundleStrategy::Batched => svc.audience_batch(bundle),
+        BundleStrategy::PerCondition => svc.audience_batch_forced(bundle, strategy).map(|(a, _)| a),
     }
-    let out = f();
-    std::env::remove_var("SOCIALREACH_BUNDLE_PLAN");
-    out
+    .expect("bundle evaluates")
 }
 
-/// Asserts trie ≡ grouped ≡ single-graph audiences on every bundle
-/// (run once before timing).
-pub fn assert_plan_matches_grouped(
+/// Asserts trie ≡ per-condition ≡ single-graph audiences on every
+/// bundle (run once before timing).
+pub fn assert_plan_matches_per_condition(
     case: &P15Case,
     single: &dyn AccessService,
     sharded: &dyn AccessService,
 ) {
     for bundle in &case.bundles {
-        let trie =
-            with_plan_mode(false, || sharded.audience_batch(bundle)).expect("bundle evaluates");
-        let grouped =
-            with_plan_mode(true, || sharded.audience_batch(bundle)).expect("bundle evaluates");
-        assert_eq!(trie, grouped, "trie/grouped divergence in {}", case.name);
-        let single_trie =
-            with_plan_mode(false, || single.audience_batch(bundle)).expect("bundle evaluates");
+        let trie = read_bundle(sharded, bundle, BundleStrategy::Batched);
+        let per_cond = read_bundle(sharded, bundle, BundleStrategy::PerCondition);
+        assert_eq!(
+            trie, per_cond,
+            "trie/per-condition divergence in {}",
+            case.name
+        );
+        let single_trie = read_bundle(single, bundle, BundleStrategy::Batched);
         assert_eq!(
             trie, single_trie,
             "sharded/single divergence in {}",
             case.name
         );
-        let single_grouped =
-            with_plan_mode(true, || single.audience_batch(bundle)).expect("bundle evaluates");
+        let single_per_cond = read_bundle(single, bundle, BundleStrategy::PerCondition);
         assert_eq!(
-            single_trie, single_grouped,
-            "single trie/grouped divergence in {}",
+            single_trie, single_per_cond,
+            "single trie/per-condition divergence in {}",
             case.name
         );
     }
 }
 
-/// Fixpoint work census over every bundle under one plan mode: sums
-/// of fixpoints, states expanded, and the trie's plan/expression
-/// state counts (the shared-prefix hit rate's raw material; both zero
-/// under grouping).
-pub fn bundle_work_census(case: &P15Case, svc: &dyn AccessService, grouped: bool) -> ReadStats {
-    with_plan_mode(grouped, || {
-        let mut total = ReadStats::default();
-        for bundle in &case.bundles {
-            let (_, stats) = svc
-                .audience_batch_with_stats(bundle)
-                .expect("bundle evaluates");
-            total.absorb(&stats);
-        }
-        total
-    })
+/// Work census over every bundle under one strategy: sums of
+/// traversals (fixpoints), states expanded, and the trie's
+/// plan/expression state counts (the shared-prefix hit rate's raw
+/// material; both zero per condition).
+pub fn bundle_work_census(
+    case: &P15Case,
+    svc: &dyn AccessService,
+    strategy: BundleStrategy,
+) -> ReadStats {
+    let mut total = ReadStats::default();
+    for bundle in &case.bundles {
+        let (_, stats) = svc
+            .audience_batch_forced(bundle, strategy)
+            .expect("bundle evaluates");
+        total.absorb(&stats);
+    }
+    total
 }
 
-/// One pass of every bundle through a deployment's batched read path
-/// (plan mode pinned by the caller via [`with_plan_mode`]).
-pub fn run_bundles(case: &P15Case, svc: &dyn AccessService) {
+/// One pass of every bundle through a deployment under `strategy`.
+pub fn run_bundles(case: &P15Case, svc: &dyn AccessService, strategy: BundleStrategy) {
     for bundle in &case.bundles {
-        let audiences = svc.audience_batch(bundle).expect("bundle evaluates");
-        std::hint::black_box(audiences.len());
+        std::hint::black_box(read_bundle(svc, bundle, strategy).len());
     }
 }

@@ -227,93 +227,44 @@ impl AccessEngine for OnlineEngine {
 
     /// Materializes the whole bundle's audiences in shared traversals.
     ///
-    /// By default the bundle's conditions compile into one
-    /// shared-prefix trie ([`crate::query::BundlePlan`]) and the masked
-    /// multi-source BFS walks each shared prefix once per 64-condition
-    /// chunk ([`crate::query::evaluate_plan_audiences`]), forking the
-    /// condition masks only where the paths diverge. With
-    /// `SOCIALREACH_BUNDLE_PLAN=grouped` — or in the never-in-practice
-    /// case of a bundle overflowing the plan's `u16` node budget — the
-    /// conditions instead group by **canonical** path expression and
-    /// each group's owners traverse together in one multi-source pass
-    /// ([`online::evaluate_audience_batch`]). Either way the traversal
-    /// census lands on the first condition it covers; the rest report
-    /// zero stats.
+    /// The bundle's conditions compile into one shared-prefix trie
+    /// ([`crate::query::BundlePlan`]) and the masked multi-source BFS
+    /// walks each shared prefix once per 64-condition chunk
+    /// ([`crate::query::evaluate_plan_audiences`]), forking the
+    /// condition masks only where the paths diverge; the traversal
+    /// census lands on the first condition and the rest report zero
+    /// stats. A bundle that overflows the plan's `u16` node budget
+    /// falls back to one traversal per condition.
     fn audience_batch_with_snapshot(
         &self,
         g: &SocialGraph,
         snap: &CsrSnapshot,
         conds: &[(NodeId, &PathExpr)],
     ) -> Result<Vec<AudienceOutcome>, EvalError> {
-        if !crate::query::grouped_plan_forced() {
-            let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
-            if let Some(plan) = crate::query::BundlePlan::compile(&paths) {
-                let owners: Vec<NodeId> = conds.iter().map(|&(o, _)| o).collect();
-                let run = crate::query::evaluate_plan_audiences(g, snap, &plan, &owners);
-                let census = EvalStats {
-                    states_visited: run.states_visited,
-                    edges_scanned: run.edges_scanned,
-                    ..EvalStats::default()
-                };
-                return Ok(run
-                    .audiences
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, members)| AudienceOutcome {
-                        members,
-                        stats: if i == 0 { census } else { EvalStats::default() },
-                    })
-                    .collect());
-            }
-        }
-        let mut outcomes: Vec<Option<AudienceOutcome>> = (0..conds.len()).map(|_| None).collect();
-        let canon: Vec<PathExpr> = conds.iter().map(|&(_, p)| p.canonical()).collect();
-        for (rep, members) in group_by_canonical_path(&canon) {
-            if canon[rep].is_empty() {
-                // Empty paths (ad-hoc `MATCH (o)` queries) match only
-                // their owner; nothing to traverse.
-                for &i in &members {
-                    outcomes[i] = Some(AudienceOutcome {
-                        members: vec![conds[i].0],
-                        stats: EvalStats::default(),
-                    });
-                }
-                continue;
-            }
-            let owners: Vec<NodeId> = members.iter().map(|&i| conds[i].0).collect();
-            let batch = online::evaluate_audience_batch(g, snap, &owners, &canon[rep]);
-            for (k, (&i, audience)) in members.iter().zip(batch.audiences).enumerate() {
-                outcomes[i] = Some(AudienceOutcome {
-                    members: audience,
-                    stats: if k == 0 {
-                        batch.stats.into()
-                    } else {
-                        EvalStats::default()
-                    },
-                });
-            }
-        }
-        Ok(outcomes
+        let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
+        let Some(plan) = crate::query::BundlePlan::compile(&paths) else {
+            return conds
+                .iter()
+                .map(|&(owner, path)| self.audience_with_snapshot(g, snap, owner, path))
+                .collect();
+        };
+        let owners: Vec<NodeId> = conds.iter().map(|&(o, _)| o).collect();
+        let run = crate::query::evaluate_plan_audiences(g, snap, &plan, &owners);
+        let census = EvalStats {
+            states_visited: run.states_visited,
+            edges_scanned: run.edges_scanned,
+            ..EvalStats::default()
+        };
+        Ok(run
+            .audiences
             .into_iter()
-            .map(|o| o.expect("every condition belongs to a group"))
+            .enumerate()
+            .map(|(i, members)| AudienceOutcome {
+                members,
+                stats: if i == 0 { census } else { EvalStats::default() },
+            })
             .collect())
     }
-}
-
-/// Groups condition indices by **canonical** path equality: conditions
-/// whose predicates differ only in spelling (order, duplicates, depth
-/// notation) share one traversal group. Returns `(representative,
-/// member indices)` pairs in first-appearance order. Bundles reuse a
-/// small set of path templates, so the quadratic probe stays tiny.
-pub(crate) fn group_by_canonical_path(canon: &[PathExpr]) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, path) in canon.iter().enumerate() {
-        match groups.iter_mut().find(|(rep, _)| &canon[*rep] == path) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((i, vec![i])),
-        }
-    }
-    groups
 }
 
 /// The full audience of a resource under the policy semantics: the
@@ -381,10 +332,9 @@ pub fn resource_audience_batch<E: AccessEngine>(
 /// [`resource_audience_batch`] plus the bundle's uniform work census
 /// ([`ReadStats`]): deduped condition count, shared traversal passes
 /// (one shared-prefix-plan pass per 64-condition chunk when a snapshot
-/// batches them — one per canonical-path group × 64-owner mask chunk
-/// under `SOCIALREACH_BUNDLE_PLAN=grouped`, mirroring the sharded
-/// backend's fixpoint count — and one per condition otherwise),
-/// product states expanded, and in trie mode the plan-vs-chains
+/// batches them, mirroring the sharded backend's fixpoint count, and
+/// one per condition otherwise — including a bundle that overflows the
+/// plan's node budget), product states expanded, and the plan-vs-chains
 /// automaton state counts behind [`ReadStats::prefix_share`].
 /// `rounds` equals `traversals` on a single graph — there is no
 /// cross-shard fixpoint — and `exported_states` is always zero here.
@@ -400,22 +350,12 @@ pub fn resource_audience_batch_with_stats<E: AccessEngine>(
         stats.conditions = uniq.len();
         match snap {
             Some(snap) => {
-                // Predict the traversal shape the engine will choose.
-                // Trie mode (the default) runs one shared-plan pass per
-                // 64-condition chunk of the traversable conditions and
-                // reports the plan-vs-chains automaton state counts
-                // behind `ReadStats::prefix_share`. Grouped mode (env
-                // lever or `u16` node overflow) runs one multi-source
-                // pass per canonical-path group × 64-owner mask chunk
-                // (`online::evaluate_audience_batch`), the same count
-                // the sharded backend reports as fixpoints.
-                let plan = if crate::query::grouped_plan_forced() {
-                    None
-                } else {
-                    let paths: Vec<&PathExpr> = uniq.iter().map(|&(_, p)| p).collect();
-                    crate::query::BundlePlan::compile(&paths)
-                };
-                match &plan {
+                // Predict the traversal shape the engine will choose:
+                // one shared-plan pass per 64-condition chunk of the
+                // traversable conditions, or one per condition when the
+                // bundle overflows the plan's node budget.
+                let paths: Vec<&PathExpr> = uniq.iter().map(|&(_, p)| p).collect();
+                match crate::query::BundlePlan::compile(&paths) {
                     Some(plan) => {
                         stats.plan_states = plan.plan_states();
                         stats.expr_states = plan.expr_states();
@@ -424,20 +364,7 @@ pub fn resource_audience_batch_with_stats<E: AccessEngine>(
                             .count();
                         stats.traversals = traversable.div_ceil(64);
                     }
-                    None => {
-                        let canon: Vec<PathExpr> =
-                            uniq.iter().map(|&(_, p)| p.canonical()).collect();
-                        stats.traversals = group_by_canonical_path(&canon)
-                            .iter()
-                            .map(|(rep, members)| {
-                                if canon[*rep].is_empty() {
-                                    0
-                                } else {
-                                    members.len().div_ceil(64)
-                                }
-                            })
-                            .sum();
-                    }
+                    None => stats.traversals = uniq.len(),
                 }
                 stats.rounds = stats.traversals;
                 let outcomes = engine.audience_batch_with_snapshot(g, snap, uniq)?;
@@ -1322,32 +1249,29 @@ mod tests {
     #[test]
     fn canonicalization_merges_predicate_order_variants_into_one_group() {
         // Two textual spellings of the same condition — predicates
-        // reordered and one duplicated — must share a traversal group
+        // reordered and one duplicated — must share one plan chain
         // once canonicalized; a genuinely different predicate must not.
         let mut vocab = socialreach_graph::Vocabulary::new();
         let a = parse_path("friend+[1,2]{age>=18,city=\"lyon\"}", &mut vocab).unwrap();
         let b = parse_path("friend+[1..2]{city=\"lyon\",age>=18,age>=18}", &mut vocab).unwrap();
         let c = parse_path("friend+[1..2]{age>=21}", &mut vocab).unwrap();
         assert_ne!(a, b, "the raw spellings differ");
-        let canon: Vec<PathExpr> = [&a, &b, &c].iter().map(|p| p.canonical()).collect();
-        let groups = group_by_canonical_path(&canon);
+        let plan = crate::query::BundlePlan::compile(&[&a, &b, &c]).unwrap();
         assert_eq!(
-            groups.len(),
+            plan.roots.len(),
             2,
             "spelling variants collapse; distinct predicates fork"
         );
-        assert_eq!(groups[0].1, vec![0, 1]);
-        assert_eq!(groups[1].1, vec![2]);
+        assert_eq!(plan.root_of(0), plan.root_of(1));
+        assert_ne!(plan.root_of(0), plan.root_of(2));
     }
 
     #[test]
     fn bundle_census_pins_group_count_across_spelling_variants() {
-        // Satellite regression: the bundle work census must count ONE
-        // traversal for a bundle whose two rules spell the same
-        // condition differently — in trie mode (one chunk, fully
-        // shared plan) and in forced-grouped mode (one canonical
-        // group) alike. Owner differs per rule so the conditions don't
-        // dedupe upstream in `merge_bundle_audiences`.
+        // The bundle work census must count ONE traversal for a bundle
+        // whose two rules spell the same condition differently (one
+        // chunk, fully shared plan). Owner differs per rule so the
+        // conditions don't dedupe upstream in `merge_bundle_audiences`.
         let (mut g, mut store, rid) = setup();
         let bob = g.node_by_name("Bob").unwrap();
         let rid2 = store.register_resource(bob);
@@ -1371,10 +1295,8 @@ mod tests {
             stats.traversals, 1,
             "canonicalized spellings share one traversal"
         );
-        if !crate::query::grouped_plan_forced() {
-            assert_eq!(stats.plan_states, stats.expr_states / 2, "one shared chain");
-            assert_eq!(stats.prefix_share(), Some(0.5));
-        }
+        assert_eq!(stats.plan_states, stats.expr_states / 2, "one shared chain");
+        assert_eq!(stats.prefix_share(), Some(0.5));
     }
 
     #[test]

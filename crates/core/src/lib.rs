@@ -80,8 +80,8 @@
 //! until they finish, so publication is wait-free for them.
 //!
 //! On top of the shared snapshot, `audience_batch` evaluates all the
-//! owners/conditions of a policy bundle with a multi-source flat BFS
-//! ([`online::evaluate_audience_batch`]): up to 64 owners traverse
+//! owners/conditions of a policy bundle with a multi-source masked BFS
+//! ([`query::evaluate_plan_audiences`]): up to 64 conditions traverse
 //! together, one frontier pass per `(label, direction)` layer,
 //! amortizing edge scans across the bundle.
 //!
@@ -94,29 +94,28 @@
 //! append-patching pipeline above. Cross-shard relationships are
 //! recorded in a boundary table and replicated into both endpoint
 //! shards against attribute-synchronized *ghost* replicas. Reads run a
-//! round-based fixpoint of per-shard **seeded** product BFS
-//! ([`online::evaluate_seeded`]): each shard traverses its local CSR
-//! snapshot, exports every product state visited at a ghost, and the
-//! router re-seeds those states at the member's home shard (parallel
-//! scoped threads when several shards are active in a round) until no
-//! new state appears. Witnesses stitch per-shard walk segments. A
-//! differential proptest suite (`tests/shard_differential.rs`) pins the
-//! sharded semantics to the single-graph system across shard counts.
+//! round-based fixpoint of per-shard **seeded** runs of the masked plan
+//! engine ([`query::evaluate_plan_batch_seeded`]): each shard traverses
+//! its local CSR snapshot, exports every masked product state visited
+//! at a ghost, and the router re-seeds the new bits at the member's
+//! home shard (parallel scoped threads when several shards are active
+//! in a round) until no new bit moves. Each shard's visited/mask state
+//! persists across the fixpoint's rounds ([`query::PlanBatchState`]),
+//! keeping total work linear in the explored region even when walks
+//! ping-pong across a boundary.
 //!
-//! Bundle reads are **batch-amortized**: `ShardedSystem::audience_batch`
-//! and `check_batch` run *one* masked fixpoint per bundle instead of
-//! one per condition. The bundle's distinct conditions group by path
-//! expression and traverse together as bits of a seeded multi-source
-//! mask BFS ([`online::evaluate_audience_batch_seeded`]); boundary
-//! exports carry those masks
-//! ([`socialreach_graph::shard::MaskedStateKey`], chunked into further
-//! 64-bit words for wider bundles), and each shard's visited/mask
-//! state persists across the fixpoint's rounds
-//! ([`online::SeededBatchState`]), keeping total work linear in the
-//! explored region even when walks ping-pong across a boundary. The
-//! batched path is pinned to the per-condition fixpoint, the
-//! single-graph batch BFS and the reference engine by
-//! `tests/shard_batch_differential.rs`.
+//! Bundle reads are **batch-amortized**: `audience_batch` and
+//! `check_batch` run *one* masked fixpoint per 64 distinct conditions
+//! instead of one per condition, the conditions compiled into one
+//! shared-prefix plan (below); boundary exports carry the condition
+//! masks ([`socialreach_graph::shard::MaskedStateKey`], chunked into
+//! further 64-bit words for wider bundles). Targeted `check` and
+//! `explain` run one condition as a one-bit fixpoint that early-exits
+//! on the requester and stitches its witness from per-shard
+//! first-arrival parent chains. Differential proptest suites
+//! (`tests/shard_differential.rs`, `tests/shard_batch_differential.rs`)
+//! pin the sharded semantics to the single-graph system and the
+//! reference engine across shard counts.
 //!
 //! ## Networked serving: shards as processes
 //!
@@ -154,9 +153,8 @@
 //! errors; [`query::parse_policy`] accepts either grammar, so
 //! `add_rule` and the CLI take both, and ad-hoc audience questions
 //! enter through [`AccessService::query_audience`] without
-//! registering a resource. Its back half replaces the batched read
-//! paths' *identical-expression* grouping key with a **shared-prefix
-//! trie** ([`query::BundlePlan`]): a bundle's distinct conditions
+//! registering a resource. Its back half is the batched read paths'
+//! **shared-prefix trie** ([`query::BundlePlan`]): a bundle's distinct conditions
 //! compile into one plan whose nodes are canonicalized steps, the
 //! masked multi-source BFS ([`query::engine`]) walks each shared
 //! prefix once per 64-condition chunk, and condition masks fork only
@@ -164,11 +162,12 @@
 //! fixpoint, and across the wire (`BeginEvalPlan`). The compression
 //! achieved is reported per read as
 //! [`ReadStats::plan_states`]/[`ReadStats::expr_states`] and feeds the
-//! adaptive planner's per-resource profiles. Setting
-//! `SOCIALREACH_BUNDLE_PLAN=grouped` restores the old grouping key
-//! (the benchmark baseline and differential oracle);
-//! `tests/query_differential.rs` pins both strategies to
-//! per-condition evaluation on all three deployments.
+//! adaptive planner's per-resource profiles. A single path is the
+//! special case of a one-chain plan, so [`query::engine`] is the one
+//! masked/seeded product-BFS engine; only single-source single-graph
+//! reads stay on the cheaper linear [`online`] engine.
+//! `tests/query_differential.rs` pins the plan to per-condition
+//! evaluation on all three deployments.
 
 pub mod carminati;
 pub mod durability;

@@ -44,32 +44,16 @@
 //! looks at those, so its `edges_filtered` is always zero. The two
 //! `edges_scanned` series therefore share an axis in experiments.
 //!
-//! # Batch audience evaluation
+//! # Multi-source and seeded reads
 //!
-//! [`evaluate_audience_batch`] answers the audience-dominant workload
-//! ("who can see this post?" for a whole policy bundle) with a
-//! **multi-source** flat BFS: up to 64 owners traverse together, each
-//! product state carrying a bitmask of the sources that reached it, so
-//! one scan of a `(node, label, direction)` CSR slice serves every
-//! owner whose frontier touches that node — amortizing edge scans
-//! across the bundle instead of re-walking the graph per condition.
-//!
-//! # Seeded mask engine (the sharded batch primitive)
-//!
-//! [`evaluate_audience_batch_seeded`] generalizes the mask BFS for the
-//! sharded serving layer: the search enters the layered product space
-//! at **arbitrary** `(member, step, depth, mask)` states and exports
-//! the masked states it visits at *watched* members (a shard's ghost
-//! replicas). Its visited/mask bookkeeping lives in a caller-owned
-//! [`SeededBatchState`] that **persists across runs**, so the
-//! cross-shard fixpoint can re-enter a shard round after round and pay
-//! only for the *new* condition bits each round delivers — total work
-//! stays linear in the explored region instead of re-traversing it per
-//! round (and, because up to 64 conditions share each frontier pass,
-//! linear in the region rather than in `conditions × region`). The
-//! single-source seeded engine ([`evaluate_seeded`]) remains the
-//! targeted-check/witness primitive; the mask engine is the audience
-//! and batched-decision hot path.
+//! Every multi-source or seeded read — bundle audiences, the
+//! cross-shard fixpoints of the sharded and networked backends, and
+//! targeted checks across shards (re-seeded at every shard hand-off) —
+//! runs on the masked plan engine in [`crate::query::engine`], where a
+//! single path is a one-chain plan and a single source is a one-bit
+//! mask. This module keeps the one shape the mask engine cannot match
+//! on cost: a single owner, a single path, a single graph (`check` and
+//! a lone audience).
 
 use crate::path::PathExpr;
 use socialreach_graph::csr::CsrSnapshot;
@@ -168,16 +152,6 @@ struct Scratch {
     parent_hop: Vec<u32>,
     /// Per-path layer table, rebuilt per call without reallocating.
     layers: Vec<LayerInfo>,
-    /// Multi-source batch BFS: source bits ever arrived at a state.
-    seen_mask: Vec<u64>,
-    /// Source bits that arrived since the state was last processed.
-    pending_mask: Vec<u64>,
-    /// Epoch stamps validating `seen_mask`/`pending_mask`.
-    mask_epoch: Vec<u32>,
-    /// Per-member source bits already recorded in an audience.
-    matched_mask: Vec<u64>,
-    /// Epoch stamps validating `matched_mask`.
-    matched_mask_epoch: Vec<u32>,
 }
 
 impl Scratch {
@@ -187,8 +161,6 @@ impl Scratch {
         if self.epoch == u32::MAX {
             self.visited.fill(0);
             self.matched_epoch.fill(0);
-            self.mask_epoch.fill(0);
-            self.matched_mask_epoch.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -217,7 +189,7 @@ struct LayerInfo {
 }
 
 /// Fills `layers` with the dense per-(step, depth) layer table of
-/// `steps` (shared by the single-source and batch engines).
+/// `steps`.
 fn fill_layer_table(steps: &[crate::path::Step], layers: &mut Vec<LayerInfo>) {
     layers.clear();
     let mut base = 0u32;
@@ -238,10 +210,10 @@ fn fill_layer_table(steps: &[crate::path::Step], layers: &mut Vec<LayerInfo>) {
     }
 }
 
-/// `(v_count, layer_count, total_states)` when the dense product space
-/// of `path` over `snap` is reasonable, `None` when the reference
-/// engine's sparse bookkeeping should take over.
-fn flat_dimensions(snap: &CsrSnapshot, path: &PathExpr) -> Option<(u32, u64, usize)> {
+/// `(v_count, total_states)` when the dense product space of `path`
+/// over `snap` is reasonable, `None` when the reference engine's
+/// sparse bookkeeping should take over.
+fn flat_dimensions(snap: &CsrSnapshot, path: &PathExpr) -> Option<(u32, usize)> {
     let num_nodes = snap.num_nodes() as u64;
     let layer_count: u64 = path
         .steps
@@ -255,11 +227,7 @@ fn flat_dimensions(snap: &CsrSnapshot, path: &PathExpr) -> Option<(u32, u64, usi
     {
         return None;
     }
-    Some((
-        num_nodes as u32,
-        layer_count,
-        (layer_count * num_nodes) as usize,
-    ))
+    Some((num_nodes as u32, (layer_count * num_nodes) as usize))
 }
 
 thread_local! {
@@ -418,7 +386,7 @@ pub fn evaluate_with_snapshot(
     }
 
     let steps = &path.steps;
-    let Some((v_count, _, total_states)) = flat_dimensions(snap, path) else {
+    let Some((v_count, total_states)) = flat_dimensions(snap, path) else {
         return evaluate_reference(g, owner, path, target);
     };
 
@@ -572,1282 +540,6 @@ pub fn evaluate_with_snapshot(
 }
 
 // ---------------------------------------------------------------------
-// Multi-source batch audience engine
-// ---------------------------------------------------------------------
-
-/// Audiences of many owners under one path expression, evaluated
-/// together (see [`evaluate_audience_batch`]).
-#[derive(Clone, Debug)]
-pub struct BatchAudienceOutcome {
-    /// `audiences[i]` is the full sorted audience of `owners[i]` —
-    /// element-for-element what `evaluate(g, owners[i], path,
-    /// None).matched` returns.
-    pub audiences: Vec<Vec<NodeId>>,
-    /// Aggregate work counters across the whole batch. One frontier
-    /// pass serves every owner in a 64-source chunk, so
-    /// `edges_scanned` sits far below the per-owner sum a sequential
-    /// sweep would pay.
-    pub stats: SearchStats,
-}
-
-/// Materializes the audiences of up to arbitrarily many `owners` under
-/// one `path`, sharing frontier passes between them.
-///
-/// Owners are processed in chunks of 64; within a chunk every product
-/// state carries a bitmask of the sources that reached it, so each
-/// `(node, label, direction)` CSR slice is scanned **once per state
-/// activation** regardless of how many owners' searches pass through
-/// it (the multi-source BFS technique of Then et al., adapted to the
-/// layered product space). Bits propagate as deltas: a state forwards
-/// only the sources that newly arrived. Sources that reach a state in
-/// the same BFS wave share its slice scan outright, so total work
-/// approaches the *union* of the per-owner traversals when frontiers
-/// overlap — and degrades to at most their sum (one re-activation per
-/// distinct arrival wave, i.e. never worse than sequential evaluation
-/// by more than the mask bookkeeping) when they don't.
-///
-/// Falls back to per-owner [`evaluate_with_snapshot`] when the
-/// snapshot is stale for `g` or the dense product space would be
-/// unreasonable — semantics are identical either way.
-pub fn evaluate_audience_batch(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    owners: &[NodeId],
-    path: &PathExpr,
-) -> BatchAudienceOutcome {
-    let mut stats = SearchStats::default();
-    if path.is_empty() {
-        return BatchAudienceOutcome {
-            audiences: owners.iter().map(|&o| vec![o]).collect(),
-            stats,
-        };
-    }
-    let flat = if snap.matches(g) {
-        flat_dimensions(snap, path)
-    } else {
-        None
-    };
-    let Some((v_count, _, total_states)) = flat else {
-        // Degenerate product space or stale snapshot: same answers,
-        // one owner at a time.
-        let audiences = owners
-            .iter()
-            .map(|&o| {
-                let out = evaluate_with_snapshot(g, snap, o, path, None);
-                stats.absorb(&out.stats);
-                out.matched
-            })
-            .collect();
-        return BatchAudienceOutcome { audiences, stats };
-    };
-
-    let steps = &path.steps;
-    let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); owners.len()];
-    SCRATCH.with(|scratch| {
-        let s = &mut *scratch.borrow_mut();
-        fill_layer_table(steps, &mut s.layers);
-        if s.seen_mask.len() < total_states {
-            s.seen_mask.resize(total_states, 0);
-            s.pending_mask.resize(total_states, 0);
-            s.mask_epoch.resize(total_states, 0);
-        }
-        if s.matched_mask.len() < snap.num_nodes() {
-            s.matched_mask.resize(snap.num_nodes(), 0);
-            s.matched_mask_epoch.resize(snap.num_nodes(), 0);
-        }
-
-        for (chunk_idx, chunk) in owners.chunks(64).enumerate() {
-            let chunk_base = chunk_idx * 64;
-            let epoch = s.next_epoch();
-            s.frontier.clear();
-            s.next.clear();
-
-            let Scratch {
-                frontier,
-                next,
-                layers,
-                seen_mask,
-                pending_mask,
-                mask_epoch,
-                matched_mask,
-                matched_mask_epoch,
-                ..
-            } = &mut *s;
-
-            // Validates a state's mask slots for this epoch, zeroing
-            // stale contents lazily.
-            macro_rules! fresh {
-                ($idx:expr) => {{
-                    let idx = $idx;
-                    if mask_epoch[idx] != epoch {
-                        mask_epoch[idx] = epoch;
-                        seen_mask[idx] = 0;
-                        pending_mask[idx] = 0;
-                    }
-                    idx
-                }};
-            }
-
-            // Seed layer 0 with each owner's bit; owners sharing a
-            // member share one start state with several bits.
-            for (bit, owner) in chunk.iter().enumerate() {
-                let idx = fresh!(owner.index());
-                let new = 1u64 << bit;
-                if seen_mask[idx] & new == 0 {
-                    seen_mask[idx] |= new;
-                    if pending_mask[idx] == 0 {
-                        frontier.push(u64::from(owner.0)); // layer 0 tag
-                    }
-                    pending_mask[idx] |= new;
-                }
-            }
-
-            while !frontier.is_empty() {
-                for &state in frontier.iter() {
-                    let v = state as u32;
-                    let lay = (state >> 32) as usize;
-                    let idx = (lay as u32 * v_count + v) as usize;
-                    // Consume the delta: only sources that arrived
-                    // since the state last ran need (re)processing.
-                    let delta = pending_mask[idx];
-                    pending_mask[idx] = 0;
-                    debug_assert_ne!(delta, 0, "queued state without pending bits");
-                    stats.states_visited += 1;
-                    let li = layers[lay];
-                    let step = &steps[li.step as usize];
-                    let node = NodeId(v);
-
-                    // Forwards `delta` to `target`, queueing it for the
-                    // next level on its 0 → nonzero pending transition.
-                    let mut send = |target_layer: u32,
-                                    target_v: u32,
-                                    bits: u64,
-                                    next: &mut Vec<u64>| {
-                        let t = fresh!((target_layer * v_count + target_v) as usize);
-                        let new = bits & !seen_mask[t];
-                        if new != 0 {
-                            seen_mask[t] |= new;
-                            if pending_mask[t] == 0 {
-                                next.push((u64::from(target_layer) << 32) | u64::from(target_v));
-                            }
-                            pending_mask[t] |= new;
-                        }
-                    };
-
-                    // Step completion for the newly arrived sources.
-                    if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                        if li.last {
-                            if matched_mask_epoch[node.index()] != epoch {
-                                matched_mask_epoch[node.index()] = epoch;
-                                matched_mask[node.index()] = 0;
-                            }
-                            let mut new_matched = delta & !matched_mask[node.index()];
-                            matched_mask[node.index()] |= new_matched;
-                            while new_matched != 0 {
-                                let bit = new_matched.trailing_zeros() as usize;
-                                new_matched &= new_matched - 1;
-                                audiences[chunk_base + bit].push(node);
-                            }
-                        } else {
-                            send(li.eps_layer, v, delta, next);
-                        }
-                    }
-
-                    // Edge expansion within the step.
-                    if !li.expands {
-                        continue;
-                    }
-                    if matches!(step.dir, Direction::Out | Direction::Both) {
-                        let out = snap.out_neighbors(v, step.label);
-                        for &nbr in out.nodes {
-                            stats.edges_scanned += 1;
-                            send(li.next_layer, nbr, delta, next);
-                        }
-                    }
-                    if matches!(step.dir, Direction::In | Direction::Both) {
-                        let inn = snap.in_neighbors(v, step.label);
-                        for &nbr in inn.nodes {
-                            stats.edges_scanned += 1;
-                            send(li.next_layer, nbr, delta, next);
-                        }
-                    }
-                }
-                std::mem::swap(frontier, next);
-                next.clear();
-            }
-        }
-    });
-
-    for audience in &mut audiences {
-        audience.sort_unstable();
-    }
-    BatchAudienceOutcome { audiences, stats }
-}
-
-// ---------------------------------------------------------------------
-// Seeded evaluation (the sharded serving layer's per-shard primitive)
-// ---------------------------------------------------------------------
-
-/// A product-automaton coordinate exchanged between shards: the member
-/// plus its `(step, depth)` position, with `depth` capped at the step's
-/// saturation point (all deeper states behave identically, so the cap
-/// makes the coordinate canonical across independently built shards).
-pub type SeedState = (NodeId, u16, u32);
-
-/// What a seeded evaluation is looking for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SeededTarget {
-    /// Explore the whole reachable product space: collect the audience
-    /// and every watched state.
-    Audience,
-    /// Stop as soon as this member completes the final step (an access
-    /// check).
-    Member(NodeId),
-    /// Stop as soon as this exact product state is visited (cross-shard
-    /// witness reconstruction replays a prior run up to the state it
-    /// exported).
-    State(NodeId, u16, u32),
-}
-
-/// Result of a seeded evaluation.
-#[derive(Clone, Debug, Default)]
-pub struct SeededOutcome {
-    /// Members that completed the final step, sorted (includes watched
-    /// members — the caller filters ghosts).
-    pub matched: Vec<NodeId>,
-    /// Every product state visited at a watched member, depth already
-    /// saturated — the states a shard exports for its neighbors to
-    /// continue from. Unique by construction (each state is visited
-    /// once).
-    pub reached: Vec<SeedState>,
-    /// Whether the target (member or state) was found.
-    pub hit: bool,
-    /// When `hit` under a non-audience target: the local walk from one
-    /// of the seeds to the target, plus the index (into `seeds`) of the
-    /// seed it traces back to.
-    pub witness: Option<(Vec<WitnessHop>, usize)>,
-    /// Work counters.
-    pub stats: SearchStats,
-}
-
-/// Per-step base offsets and saturations of the dense layer table:
-/// layer id of `(step, depth)` is `bases[step] + depth.min(sats[step])`.
-fn layer_bases(steps: &[crate::path::Step]) -> (Vec<u32>, Vec<u32>) {
-    let mut bases = Vec::with_capacity(steps.len());
-    let mut sats = Vec::with_capacity(steps.len());
-    let mut base = 0u32;
-    for step in steps {
-        let sat = step.depths.saturation();
-        bases.push(base);
-        sats.push(sat);
-        base += sat + 1;
-    }
-    (bases, sats)
-}
-
-/// [`evaluate_with_snapshot`] generalized for the sharded serving
-/// layer: the search starts from arbitrary product states (`seeds`),
-/// reports every state visited at a *watched* member (the shard's
-/// ghost copies of remote members, whose expansion is completed by the
-/// owning shard), and can chase a state target as well as a member
-/// target.
-///
-/// Semantics are those of the single-graph engine restricted to this
-/// graph's edges: a state `(v, step, depth)` is reachable from the
-/// seeds exactly when the unsharded engine could reach it using only
-/// locally present edges. The sharded router obtains global semantics
-/// by fixpointing seeded runs across shards (every exported watched
-/// state is re-seeded at the member's owning shard, where its full
-/// adjacency lives).
-///
-/// Uses the flat dense-state engine when the product space is
-/// reasonable ([`evaluate_with_snapshot`]'s criterion) and a sparse
-/// HashMap walk mirroring [`evaluate_reference`] otherwise — results
-/// are identical.
-pub fn evaluate_seeded(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    seeds: &[SeedState],
-    watched: &[bool],
-    target: SeededTarget,
-) -> SeededOutcome {
-    debug_assert!(!path.is_empty(), "the router handles empty paths");
-    if path.is_empty() || seeds.is_empty() {
-        return SeededOutcome::default();
-    }
-    if snap.matches(g) && flat_dimensions(snap, path).is_some() {
-        evaluate_seeded_flat(g, snap, path, seeds, watched, target)
-    } else {
-        evaluate_seeded_sparse(g, path, seeds, watched, target)
-    }
-}
-
-fn evaluate_seeded_flat(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    seeds: &[SeedState],
-    watched: &[bool],
-    target: SeededTarget,
-) -> SeededOutcome {
-    let steps = &path.steps;
-    let (v_count, _, total_states) =
-        flat_dimensions(snap, path).expect("caller checked dimensions");
-    let (bases, sats) = layer_bases(steps);
-    let layer_of = |step: u16, depth: u32| bases[step as usize] + depth.min(sats[step as usize]);
-
-    let track_parents = !matches!(target, SeededTarget::Audience);
-    let target_member = match target {
-        SeededTarget::Member(m) => Some(m),
-        _ => None,
-    };
-    let target_idx: Option<u32> = match target {
-        SeededTarget::State(m, step, depth) => Some(layer_of(step, depth) * v_count + m.0),
-        _ => None,
-    };
-
-    let mut stats = SearchStats::default();
-    let mut matched: Vec<NodeId> = Vec::new();
-    let mut reached: Vec<SeedState> = Vec::new();
-    let mut hit_state: Option<u32> = None;
-    // Seed states self-parent; the replay resolves which seed a chain
-    // ends at through this (tiny) index list.
-    let mut seed_index: Vec<(u32, usize)> = Vec::with_capacity(seeds.len());
-
-    let witness = SCRATCH.with(|scratch| {
-        let s = &mut *scratch.borrow_mut();
-        fill_layer_table(steps, &mut s.layers);
-        // `layer_bases` must describe exactly the layout
-        // `fill_layer_table` produced — the two are parallel
-        // constructions, so pin their agreement here.
-        debug_assert_eq!(
-            s.layers.len() as u32,
-            bases.last().unwrap() + sats.last().unwrap() + 1,
-            "layer_bases and fill_layer_table disagree on the layer count"
-        );
-        for (i, &base) in bases.iter().enumerate() {
-            debug_assert_eq!(
-                s.layers[base as usize].step as usize, i,
-                "layer_bases and fill_layer_table disagree on step {i}'s base layer"
-            );
-        }
-        if s.visited.len() < total_states {
-            s.visited.resize(total_states, 0);
-        }
-        if s.matched_epoch.len() < snap.num_nodes() {
-            s.matched_epoch.resize(snap.num_nodes(), 0);
-        }
-        if track_parents && s.parent_state.len() < total_states {
-            s.parent_state.resize(total_states, 0);
-            s.parent_hop.resize(total_states, 0);
-        }
-        let epoch = s.next_epoch();
-        s.frontier.clear();
-        s.next.clear();
-
-        for (i, &(m, step, depth)) in seeds.iter().enumerate() {
-            let lay = layer_of(step, depth);
-            let idx = lay * v_count + m.0;
-            if s.visited[idx as usize] == epoch {
-                continue; // duplicate seed; first occurrence wins
-            }
-            s.visited[idx as usize] = epoch;
-            if track_parents {
-                s.parent_state[idx as usize] = idx;
-                s.parent_hop[idx as usize] = HOP_NONE;
-            }
-            seed_index.push((idx, i));
-            if target_idx == Some(idx) {
-                hit_state = Some(idx);
-            }
-            s.frontier.push((u64::from(lay) << 32) | u64::from(m.0));
-        }
-
-        'search: while !s.frontier.is_empty() && hit_state.is_none() {
-            let Scratch {
-                visited,
-                matched_epoch,
-                frontier,
-                next,
-                parent_state,
-                parent_hop,
-                layers,
-                ..
-            } = s;
-            for &state in frontier.iter() {
-                let v = state as u32;
-                let lay = (state >> 32) as u32;
-                let idx = lay * v_count + v;
-                let li = layers[lay as usize];
-                stats.states_visited += 1;
-                let step = &steps[li.step as usize];
-                let node = NodeId(v);
-
-                if watched[node.index()] {
-                    reached.push((node, li.step, lay - bases[li.step as usize]));
-                }
-
-                if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    if li.last {
-                        if matched_epoch[node.index()] != epoch {
-                            matched_epoch[node.index()] = epoch;
-                            matched.push(node);
-                        }
-                        if target_member == Some(node) {
-                            hit_state = Some(idx);
-                            break 'search;
-                        }
-                    } else {
-                        let eps = li.eps_layer * v_count + v;
-                        let slot = &mut visited[eps as usize];
-                        if *slot != epoch {
-                            *slot = epoch;
-                            if track_parents {
-                                parent_state[eps as usize] = idx;
-                                parent_hop[eps as usize] = HOP_NONE;
-                            }
-                            if target_idx == Some(eps) {
-                                hit_state = Some(eps);
-                                break 'search;
-                            }
-                            next.push((u64::from(li.eps_layer) << 32) | u64::from(v));
-                        }
-                    }
-                }
-
-                if !li.expands {
-                    continue;
-                }
-                let next_base = li.next_layer * v_count;
-                let next_tag = u64::from(li.next_layer) << 32;
-                let mut found = false;
-                let mut expand = |nbr: u32, eid: u32, forward: bool| {
-                    stats.edges_scanned += 1;
-                    let ns = next_base + nbr;
-                    let slot = &mut visited[ns as usize];
-                    if *slot != epoch {
-                        *slot = epoch;
-                        if track_parents {
-                            parent_state[ns as usize] = idx;
-                            parent_hop[ns as usize] = (eid << 1) | u32::from(forward);
-                        }
-                        if target_idx == Some(ns) {
-                            found = true;
-                        }
-                        next.push(next_tag | u64::from(nbr));
-                    }
-                };
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    let out = snap.out_neighbors(v, step.label);
-                    for (&nbr, &eid) in out.nodes.iter().zip(out.edges) {
-                        expand(nbr, eid, true);
-                    }
-                }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    let inn = snap.in_neighbors(v, step.label);
-                    for (&nbr, &eid) in inn.nodes.iter().zip(inn.edges) {
-                        expand(nbr, eid, false);
-                    }
-                }
-                if found {
-                    hit_state = Some(target_idx.expect("found implies a state target"));
-                    break 'search;
-                }
-            }
-            std::mem::swap(&mut s.frontier, &mut s.next);
-            s.next.clear();
-        }
-
-        hit_state.filter(|_| track_parents).map(|end| {
-            let mut hops = Vec::new();
-            let mut cur = end;
-            loop {
-                let hop = s.parent_hop[cur as usize];
-                let prev = s.parent_state[cur as usize];
-                if hop != HOP_NONE {
-                    hops.push((EdgeId(hop >> 1), hop & 1 == 1));
-                }
-                if prev == cur {
-                    break;
-                }
-                cur = prev;
-            }
-            hops.reverse();
-            let seed = seed_index
-                .iter()
-                .find(|&&(idx, _)| idx == cur)
-                .map(|&(_, i)| i)
-                .expect("witness chain ends at a seed");
-            (hops, seed)
-        })
-    });
-
-    matched.sort_unstable();
-    SeededOutcome {
-        matched,
-        reached,
-        hit: hit_state.is_some(),
-        witness,
-        stats,
-    }
-}
-
-/// Sparse-state mirror of [`evaluate_seeded_flat`] for degenerate
-/// product spaces, structured after [`evaluate_reference`].
-fn evaluate_seeded_sparse(
-    g: &SocialGraph,
-    path: &PathExpr,
-    seeds: &[SeedState],
-    watched: &[bool],
-    target: SeededTarget,
-) -> SeededOutcome {
-    let steps = &path.steps;
-    let sat: Vec<u32> = steps.iter().map(|s| s.depths.saturation()).collect();
-    let canon = |(m, step, depth): SeedState| (m.0, step, depth.min(sat[step as usize]));
-
-    let target_member = match target {
-        SeededTarget::Member(m) => Some(m),
-        _ => None,
-    };
-    let target_state: Option<State> = match target {
-        SeededTarget::State(m, step, depth) => Some(canon((m, step, depth))),
-        _ => None,
-    };
-
-    let mut stats = SearchStats::default();
-    let mut parent: HashMap<State, Option<(State, Option<WitnessHop>)>> = HashMap::new();
-    let mut seed_of: HashMap<State, usize> = HashMap::new();
-    let mut queue: VecDeque<State> = VecDeque::new();
-    for (i, &seed) in seeds.iter().enumerate() {
-        let state = canon(seed);
-        if let Entry::Vacant(e) = parent.entry(state) {
-            e.insert(None);
-            seed_of.insert(state, i);
-            queue.push_back(state);
-        }
-    }
-
-    let mut matched: Vec<NodeId> = Vec::new();
-    let mut matched_seen = vec![false; g.num_nodes()];
-    let mut reached: Vec<SeedState> = Vec::new();
-    let mut hit_state: Option<State> = target_state.filter(|t| parent.contains_key(t));
-
-    'search: while hit_state.is_none() {
-        let Some(state) = queue.pop_front() else {
-            break;
-        };
-        let (v, i, d) = state;
-        stats.states_visited += 1;
-        let step = &steps[i as usize];
-        let node = NodeId(v);
-
-        if watched[node.index()] {
-            reached.push((node, i, d));
-        }
-
-        if d >= 1
-            && step.depths.contains(d)
-            && step.conds.iter().all(|c| c.eval(g.node_attrs(node)))
-        {
-            if (i as usize) == steps.len() - 1 {
-                if !matched_seen[node.index()] {
-                    matched_seen[node.index()] = true;
-                    matched.push(node);
-                }
-                if target_member == Some(node) {
-                    hit_state = Some(state);
-                    break 'search;
-                }
-            } else {
-                let eps: State = (v, i + 1, 0);
-                if let Entry::Vacant(e) = parent.entry(eps) {
-                    e.insert(Some((state, None)));
-                    if target_state == Some(eps) {
-                        hit_state = Some(eps);
-                        break 'search;
-                    }
-                    queue.push_back(eps);
-                }
-            }
-        }
-
-        if d >= sat[i as usize] && !step.depths.is_unbounded() {
-            continue;
-        }
-        let d_next = (d + 1).min(sat[i as usize]);
-        let out = matches!(step.dir, Direction::Out | Direction::Both);
-        let inc = matches!(step.dir, Direction::In | Direction::Both);
-        if out {
-            for (eid, rec) in g.out_edges(node) {
-                if rec.label != step.label {
-                    stats.edges_filtered += 1;
-                    continue;
-                }
-                stats.edges_scanned += 1;
-                let next: State = (rec.dst.0, i, d_next);
-                if let Entry::Vacant(e) = parent.entry(next) {
-                    e.insert(Some((state, Some((eid, true)))));
-                    if target_state == Some(next) {
-                        hit_state = Some(next);
-                        break 'search;
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-        if inc {
-            for (eid, rec) in g.in_edges(node) {
-                if rec.label != step.label {
-                    stats.edges_filtered += 1;
-                    continue;
-                }
-                stats.edges_scanned += 1;
-                let next: State = (rec.src.0, i, d_next);
-                if let Entry::Vacant(e) = parent.entry(next) {
-                    e.insert(Some((state, Some((eid, false)))));
-                    if target_state == Some(next) {
-                        hit_state = Some(next);
-                        break 'search;
-                    }
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-
-    let witness = hit_state
-        .filter(|_| !matches!(target, SeededTarget::Audience))
-        .map(|end| {
-            let mut hops = Vec::new();
-            let mut cur = end;
-            while let Some(Some((prev, hop))) = parent.get(&cur) {
-                if let Some(h) = hop {
-                    hops.push(*h);
-                }
-                cur = *prev;
-            }
-            hops.reverse();
-            let seed = *seed_of.get(&cur).expect("witness chain ends at a seed");
-            (hops, seed)
-        });
-
-    matched.sort_unstable();
-    SeededOutcome {
-        matched,
-        reached,
-        hit: hit_state.is_some(),
-        witness,
-        stats,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Seeded multi-source mask engine (the batched serving primitive)
-// ---------------------------------------------------------------------
-
-/// A masked product state exchanged between the batched fixpoint
-/// driver and the per-shard mask engine: the member, its `(step,
-/// depth)` coordinate (depth capped at the step's saturation point),
-/// and the bundle-condition bits that reached it.
-pub type MaskedSeedState = (NodeId, u16, u32, u64);
-
-/// Result of one [`evaluate_audience_batch_seeded`] run.
-#[derive(Clone, Debug, Default)]
-pub struct SeededBatchOutcome {
-    /// Members that completed the final step during this run, each
-    /// with the condition bits that **newly** matched them (the state
-    /// remembers what it already reported, so bits never repeat across
-    /// runs). Watched members are included; the caller filters ghosts.
-    pub matched: Vec<(NodeId, u64)>,
-    /// Masked states visited at watched members during this run, with
-    /// the bits that newly arrived there (depth already saturated).
-    /// Bits at one state are disjoint across runs by construction.
-    pub exports: Vec<MaskedSeedState>,
-    /// The `(step, depth)` coordinate at which the `stop` member of an
-    /// early-exit run ([`evaluate_audience_batch_seeded_stop`])
-    /// completed the final step, when it did. The run returns
-    /// immediately on a hit, so a hit run's frontier is **not**
-    /// drained: after a hit the engine may only be used for
-    /// [`SeededBatchState::trace`].
-    pub hit: Option<(u16, u32)>,
-    /// Work counters for this run only.
-    pub stats: SearchStats,
-}
-
-/// Round-persistent bookkeeping of the seeded mask engine: which
-/// condition bits have ever arrived at each product state, which bits
-/// await processing, and which bits each member has already matched
-/// under. One value serves **one** `(graph, snapshot, path, ≤64
-/// conditions)` evaluation across arbitrarily many seeded runs; the
-/// cross-shard fixpoint driver keeps one per shard per bundle chunk.
-///
-/// Persistence is the point: seeding a state whose bits are already
-/// known is a no-op, so a fixpoint that re-enters a shard `k` times
-/// (a walk ping-ponging across a boundary) expands each state at most
-/// once per arriving bit instead of re-traversing the explored region
-/// every round.
-pub struct SeededBatchState {
-    /// Cumulative states processed across every run (the
-    /// round-linearity instrumentation the sharded driver reports).
-    states_expanded: usize,
-    inner: BatchInner,
-}
-
-enum BatchInner {
-    Flat(FlatBatch),
-    Sparse(SparseBatch),
-}
-
-/// Persistent parent pointers of a parent-tracked flat batch engine
-/// ([`SeededBatchState::with_parents`]): for each product state, the
-/// state it was **first** reached from and the hop taken, surviving
-/// across runs so a cross-round chain can be traced without replay.
-struct FlatParents {
-    /// Predecessor state index; seeds point at themselves.
-    state: Vec<u32>,
-    /// `(eid << 1) | forward`, or [`HOP_NONE`] for seeds and ε-moves.
-    hop: Vec<u32>,
-}
-
-/// Dense-array variant: masks indexed by `layer · |V| + member`.
-struct FlatBatch {
-    v_count: u32,
-    bases: Vec<u32>,
-    sats: Vec<u32>,
-    layers: Vec<LayerInfo>,
-    /// Bits ever arrived, per product state.
-    seen: Vec<u64>,
-    /// Bits arrived since the state was last processed.
-    pending: Vec<u64>,
-    /// Bits already reported as matched, per member.
-    matched_mask: Vec<u64>,
-    frontier: Vec<u64>,
-    next: Vec<u64>,
-    /// First-arrival parent pointers, when tracking is enabled.
-    parents: Option<FlatParents>,
-}
-
-/// Sparse mirror for degenerate product spaces (astronomical
-/// saturation depths), keyed by `(member, step, depth)`.
-struct SparseBatch {
-    sats: Vec<u32>,
-    seen: HashMap<State, u64>,
-    pending: HashMap<State, u64>,
-    matched_mask: HashMap<u32, u64>,
-    frontier: Vec<State>,
-    next: Vec<State>,
-    /// First-arrival parent pointers (`state → (predecessor, hop)`;
-    /// seeds map to themselves with no hop), when tracking is enabled.
-    parents: Option<HashMap<State, (State, Option<WitnessHop>)>>,
-}
-
-impl SeededBatchState {
-    /// Fresh state for evaluating `path` over `snap`/`g`. Picks the
-    /// flat dense-array variant when the product space is reasonable
-    /// ([`evaluate_with_snapshot`]'s criterion) and the sparse mirror
-    /// otherwise — run results are identical either way.
-    pub fn new(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr) -> Self {
-        assert!(!path.is_empty(), "the batched driver handles empty paths");
-        let steps = &path.steps;
-        let inner = match if snap.matches(g) {
-            flat_dimensions(snap, path)
-        } else {
-            None
-        } {
-            Some((v_count, _, total_states)) => {
-                let (bases, sats) = layer_bases(steps);
-                let mut layers = Vec::new();
-                fill_layer_table(steps, &mut layers);
-                BatchInner::Flat(FlatBatch {
-                    v_count,
-                    bases,
-                    sats,
-                    layers,
-                    seen: vec![0; total_states],
-                    pending: vec![0; total_states],
-                    matched_mask: vec![0; snap.num_nodes()],
-                    frontier: Vec::new(),
-                    next: Vec::new(),
-                    parents: None,
-                })
-            }
-            None => BatchInner::Sparse(SparseBatch {
-                sats: steps.iter().map(|s| s.depths.saturation()).collect(),
-                seen: HashMap::new(),
-                pending: HashMap::new(),
-                matched_mask: HashMap::new(),
-                frontier: Vec::new(),
-                next: Vec::new(),
-                parents: None,
-            }),
-        };
-        SeededBatchState {
-            states_expanded: 0,
-            inner,
-        }
-    }
-
-    /// Total product states processed across every run so far. Each
-    /// state is processed once per *wave of new bits*, so for a
-    /// single-condition evaluation this is exactly the number of
-    /// distinct states explored — the counter the round-linearity
-    /// regression pins.
-    pub fn states_expanded(&self) -> usize {
-        self.states_expanded
-    }
-
-    /// [`SeededBatchState::new`] with **first-arrival parent
-    /// tracking**: every product state remembers the state it was
-    /// first reached from and the hop taken, across runs, so
-    /// [`SeededBatchState::trace`] can reconstruct a witness chain
-    /// without replaying the search.
-    ///
-    /// Parent chains follow *first* arrivals regardless of condition
-    /// bits, so they are only guaranteed to carry a given bit for
-    /// **single-condition** (one-bit) evaluations — the targeted
-    /// `check`/`explain` path. Multi-bit bundles must keep using the
-    /// replay-based reconstruction.
-    pub fn with_parents(g: &SocialGraph, snap: &CsrSnapshot, path: &PathExpr) -> Self {
-        let mut state = Self::new(g, snap, path);
-        match &mut state.inner {
-            BatchInner::Flat(fb) => {
-                let total = fb.seen.len();
-                fb.parents = Some(FlatParents {
-                    state: vec![0; total],
-                    hop: vec![0; total],
-                });
-            }
-            BatchInner::Sparse(sb) => sb.parents = Some(HashMap::new()),
-        }
-        state
-    }
-
-    /// Walks the persistent parent chain back from the product state
-    /// `(member, step, depth)` to a **seed** of some earlier run,
-    /// returning the hops in walk order plus the seed's coordinate.
-    /// `None` when the engine wasn't built with
-    /// [`SeededBatchState::with_parents`] or the state was never
-    /// reached. Valid after an early-exit hit — tracing is the one
-    /// operation an exhausted engine still supports.
-    pub fn trace(
-        &self,
-        member: NodeId,
-        step: u16,
-        depth: u32,
-    ) -> Option<(Vec<WitnessHop>, SeedState)> {
-        match &self.inner {
-            BatchInner::Flat(fb) => {
-                let parents = fb.parents.as_ref()?;
-                let lay = fb.bases[step as usize] + depth.min(fb.sats[step as usize]);
-                let mut cur = lay * fb.v_count + member.0;
-                if fb.seen[cur as usize] == 0 {
-                    return None;
-                }
-                let mut hops = Vec::new();
-                loop {
-                    let hop = parents.hop[cur as usize];
-                    let prev = parents.state[cur as usize];
-                    if hop != HOP_NONE {
-                        hops.push((EdgeId(hop >> 1), hop & 1 == 1));
-                    }
-                    if prev == cur {
-                        break;
-                    }
-                    cur = prev;
-                }
-                hops.reverse();
-                let v = cur % fb.v_count;
-                let lay = cur / fb.v_count;
-                let li = fb.layers[lay as usize];
-                Some((hops, (NodeId(v), li.step, lay - fb.bases[li.step as usize])))
-            }
-            BatchInner::Sparse(sb) => {
-                let parents = sb.parents.as_ref()?;
-                let mut cur: State = (member.0, step, depth.min(sb.sats[step as usize]));
-                let mut hops = Vec::new();
-                loop {
-                    let &(prev, hop) = parents.get(&cur)?;
-                    if let Some(h) = hop {
-                        hops.push(h);
-                    }
-                    if prev == cur {
-                        break;
-                    }
-                    cur = prev;
-                }
-                hops.reverse();
-                Some((hops, (NodeId(cur.0), cur.1, cur.2)))
-            }
-        }
-    }
-}
-
-/// [`evaluate_audience_batch`] generalized to **seeded** entry: one
-/// run drains the frontier produced by `seeds` (plus whatever earlier
-/// runs left unexplored — nothing, by post-condition), recording
-/// matches and exporting masked states visited at `watched` members.
-///
-/// Semantics per condition bit are those of the single-source seeded
-/// engine ([`evaluate_seeded`]) restricted to this graph's edges: a
-/// state `(v, step, depth)` accumulates bit `b` exactly when the
-/// unsharded engine could reach it from one of bit `b`'s seeds using
-/// only locally present edges. The sharded router obtains global
-/// semantics by fixpointing masked runs across shards.
-///
-/// `state` must have been created by [`SeededBatchState::new`] for
-/// this same `(g, snap, path)`; runs may repeat freely, and bits
-/// reported (matched or exported) are disjoint across runs.
-pub fn evaluate_audience_batch_seeded(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    state: &mut SeededBatchState,
-    seeds: &[MaskedSeedState],
-    watched: &[bool],
-) -> SeededBatchOutcome {
-    evaluate_audience_batch_seeded_stop(g, snap, path, state, seeds, watched, None)
-}
-
-/// [`evaluate_audience_batch_seeded`] with an **early-exit target**:
-/// the run returns the moment `stop` completes the final step
-/// (`hit` carries the completing `(step, depth)` coordinate), leaving
-/// the frontier undrained. After a hit the engine must only be used
-/// for [`SeededBatchState::trace`] — the targeted `check`/`explain`
-/// path that replaces the per-condition ping-pong fixpoint.
-pub fn evaluate_audience_batch_seeded_stop(
-    g: &SocialGraph,
-    snap: &CsrSnapshot,
-    path: &PathExpr,
-    state: &mut SeededBatchState,
-    seeds: &[MaskedSeedState],
-    watched: &[bool],
-    stop: Option<NodeId>,
-) -> SeededBatchOutcome {
-    let SeededBatchState {
-        states_expanded,
-        inner,
-    } = state;
-    match inner {
-        BatchInner::Flat(fb) => fb.run(g, snap, path, seeds, watched, stop, states_expanded),
-        BatchInner::Sparse(sb) => sb.run(g, path, seeds, watched, stop, states_expanded),
-    }
-}
-
-impl FlatBatch {
-    /// Forwards `bits` to a state, queueing it on the 0 → nonzero
-    /// pending transition. Free function shape so the BFS loop can
-    /// split-borrow the mask arrays. Returns `true` on the state's
-    /// **first-ever** arrival (any bit), the moment a parent pointer
-    /// should be recorded.
-    #[inline]
-    fn send(
-        seen: &mut [u64],
-        pending: &mut [u64],
-        queue: &mut Vec<u64>,
-        v_count: u32,
-        layer: u32,
-        v: u32,
-        bits: u64,
-    ) -> bool {
-        let idx = (layer * v_count + v) as usize;
-        let first = seen[idx] == 0;
-        let new = bits & !seen[idx];
-        if new != 0 {
-            seen[idx] |= new;
-            if pending[idx] == 0 {
-                queue.push((u64::from(layer) << 32) | u64::from(v));
-            }
-            pending[idx] |= new;
-        }
-        first && new != 0
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run(
-        &mut self,
-        g: &SocialGraph,
-        snap: &CsrSnapshot,
-        path: &PathExpr,
-        seeds: &[MaskedSeedState],
-        watched: &[bool],
-        stop: Option<NodeId>,
-        states_expanded: &mut usize,
-    ) -> SeededBatchOutcome {
-        debug_assert!(snap.matches(g), "snapshot pinned for the whole bundle");
-        let steps = &path.steps;
-        let mut out = SeededBatchOutcome::default();
-        let FlatBatch {
-            v_count,
-            bases,
-            sats,
-            layers,
-            seen,
-            pending,
-            matched_mask,
-            frontier,
-            next,
-            parents,
-        } = self;
-        let v_count = *v_count;
-
-        debug_assert!(frontier.is_empty(), "previous run drained its frontier");
-        for &(m, step, depth, bits) in seeds {
-            let lay = bases[step as usize] + depth.min(sats[step as usize]);
-            if Self::send(seen, pending, frontier, v_count, lay, m.0, bits) {
-                if let Some(p) = parents.as_mut() {
-                    let idx = (lay * v_count + m.0) as usize;
-                    p.state[idx] = lay * v_count + m.0;
-                    p.hop[idx] = HOP_NONE;
-                }
-            }
-        }
-
-        while !frontier.is_empty() {
-            for &packed in frontier.iter() {
-                let v = packed as u32;
-                let lay = (packed >> 32) as u32;
-                let idx = (lay * v_count + v) as usize;
-                let delta = pending[idx];
-                pending[idx] = 0;
-                debug_assert_ne!(delta, 0, "queued state without pending bits");
-                out.stats.states_visited += 1;
-                *states_expanded += 1;
-                let li = layers[lay as usize];
-                let step = &steps[li.step as usize];
-                let node = NodeId(v);
-
-                if watched[node.index()] {
-                    out.exports
-                        .push((node, li.step, lay - bases[li.step as usize], delta));
-                }
-
-                // Step completion for the newly arrived bits.
-                if li.completes && step.conds.iter().all(|c| c.eval(g.node_attrs(node))) {
-                    if li.last {
-                        let new_matched = delta & !matched_mask[node.index()];
-                        if new_matched != 0 {
-                            matched_mask[node.index()] |= new_matched;
-                            out.matched.push((node, new_matched));
-                            if stop == Some(node) {
-                                out.hit = Some((li.step, lay - bases[li.step as usize]));
-                                return out;
-                            }
-                        }
-                    } else if Self::send(seen, pending, next, v_count, li.eps_layer, v, delta) {
-                        if let Some(p) = parents.as_mut() {
-                            let ni = (li.eps_layer * v_count + v) as usize;
-                            p.state[ni] = idx as u32;
-                            p.hop[ni] = HOP_NONE;
-                        }
-                    }
-                }
-
-                // Edge expansion within the step.
-                if !li.expands {
-                    continue;
-                }
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    let nbrs = snap.out_neighbors(v, step.label);
-                    match parents.as_mut() {
-                        None => {
-                            for &nbr in nbrs.nodes {
-                                out.stats.edges_scanned += 1;
-                                Self::send(seen, pending, next, v_count, li.next_layer, nbr, delta);
-                            }
-                        }
-                        Some(p) => {
-                            for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
-                                out.stats.edges_scanned += 1;
-                                if Self::send(
-                                    seen,
-                                    pending,
-                                    next,
-                                    v_count,
-                                    li.next_layer,
-                                    nbr,
-                                    delta,
-                                ) {
-                                    let ni = (li.next_layer * v_count + nbr) as usize;
-                                    p.state[ni] = idx as u32;
-                                    p.hop[ni] = (eid << 1) | 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    let nbrs = snap.in_neighbors(v, step.label);
-                    match parents.as_mut() {
-                        None => {
-                            for &nbr in nbrs.nodes {
-                                out.stats.edges_scanned += 1;
-                                Self::send(seen, pending, next, v_count, li.next_layer, nbr, delta);
-                            }
-                        }
-                        Some(p) => {
-                            for (&nbr, &eid) in nbrs.nodes.iter().zip(nbrs.edges) {
-                                out.stats.edges_scanned += 1;
-                                if Self::send(
-                                    seen,
-                                    pending,
-                                    next,
-                                    v_count,
-                                    li.next_layer,
-                                    nbr,
-                                    delta,
-                                ) {
-                                    let ni = (li.next_layer * v_count + nbr) as usize;
-                                    p.state[ni] = idx as u32;
-                                    p.hop[ni] = eid << 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            std::mem::swap(frontier, next);
-            next.clear();
-        }
-        out
-    }
-}
-
-impl SparseBatch {
-    /// Returns `true` on the state's first-ever arrival (any bit) —
-    /// the moment a parent pointer should be recorded.
-    #[inline]
-    fn send(
-        seen: &mut HashMap<State, u64>,
-        pending: &mut HashMap<State, u64>,
-        queue: &mut Vec<State>,
-        st: State,
-        bits: u64,
-    ) -> bool {
-        let slot = seen.entry(st).or_insert(0);
-        let first = *slot == 0;
-        let new = bits & !*slot;
-        if new != 0 {
-            *slot |= new;
-            let p = pending.entry(st).or_insert(0);
-            if *p == 0 {
-                queue.push(st);
-            }
-            *p |= new;
-        }
-        first && new != 0
-    }
-
-    fn run(
-        &mut self,
-        g: &SocialGraph,
-        path: &PathExpr,
-        seeds: &[MaskedSeedState],
-        watched: &[bool],
-        stop: Option<NodeId>,
-        states_expanded: &mut usize,
-    ) -> SeededBatchOutcome {
-        let steps = &path.steps;
-        let mut out = SeededBatchOutcome::default();
-        let SparseBatch {
-            sats,
-            seen,
-            pending,
-            matched_mask,
-            frontier,
-            next,
-            parents,
-        } = self;
-
-        debug_assert!(frontier.is_empty(), "previous run drained its frontier");
-        for &(m, step, depth, bits) in seeds {
-            let st: State = (m.0, step, depth.min(sats[step as usize]));
-            if Self::send(seen, pending, frontier, st, bits) {
-                if let Some(p) = parents.as_mut() {
-                    p.insert(st, (st, None));
-                }
-            }
-        }
-
-        while !frontier.is_empty() {
-            for &st in frontier.iter() {
-                let (v, i, d) = st;
-                let delta = pending.insert(st, 0).unwrap_or(0);
-                debug_assert_ne!(delta, 0, "queued state without pending bits");
-                out.stats.states_visited += 1;
-                *states_expanded += 1;
-                let step = &steps[i as usize];
-                let node = NodeId(v);
-
-                if watched[node.index()] {
-                    out.exports.push((node, i, d, delta));
-                }
-
-                if d >= 1
-                    && step.depths.contains(d)
-                    && step.conds.iter().all(|c| c.eval(g.node_attrs(node)))
-                {
-                    if (i as usize) == steps.len() - 1 {
-                        let mask = matched_mask.entry(v).or_insert(0);
-                        let new_matched = delta & !*mask;
-                        if new_matched != 0 {
-                            *mask |= new_matched;
-                            out.matched.push((node, new_matched));
-                            if stop == Some(node) {
-                                out.hit = Some((i, d));
-                                return out;
-                            }
-                        }
-                    } else if Self::send(seen, pending, next, (v, i + 1, 0), delta) {
-                        if let Some(p) = parents.as_mut() {
-                            p.insert((v, i + 1, 0), (st, None));
-                        }
-                    }
-                }
-
-                if d >= sats[i as usize] && !step.depths.is_unbounded() {
-                    continue;
-                }
-                let d_next = (d + 1).min(sats[i as usize]);
-                if matches!(step.dir, Direction::Out | Direction::Both) {
-                    for (eid, rec) in g.out_edges(node) {
-                        if rec.label != step.label {
-                            out.stats.edges_filtered += 1;
-                            continue;
-                        }
-                        out.stats.edges_scanned += 1;
-                        let ns = (rec.dst.0, i, d_next);
-                        if Self::send(seen, pending, next, ns, delta) {
-                            if let Some(p) = parents.as_mut() {
-                                p.insert(ns, (st, Some((eid, true))));
-                            }
-                        }
-                    }
-                }
-                if matches!(step.dir, Direction::In | Direction::Both) {
-                    for (eid, rec) in g.in_edges(node) {
-                        if rec.label != step.label {
-                            out.stats.edges_filtered += 1;
-                            continue;
-                        }
-                        out.stats.edges_scanned += 1;
-                        let ns = (rec.src.0, i, d_next);
-                        if Self::send(seen, pending, next, ns, delta) {
-                            if let Some(p) = parents.as_mut() {
-                                p.insert(ns, (st, Some((eid, false))));
-                            }
-                        }
-                    }
-                }
-            }
-            std::mem::swap(frontier, next);
-            next.clear();
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------
 // Reference engine (original implementation, retained as the spec)
 // ---------------------------------------------------------------------
 
@@ -1977,6 +669,10 @@ pub fn evaluate_reference(
 mod tests {
     use super::*;
     use crate::path::{parse_path, PathExpr};
+    use crate::query::{
+        evaluate_plan_audiences, evaluate_plan_batch_seeded, BundlePlan, MaskedSeedState,
+        PlanBatchState, SeededBatchOutcome,
+    };
 
     fn parse(g: &mut SocialGraph, text: &str) -> PathExpr {
         parse_path(text, g.vocab_mut()).unwrap_or_else(|e| panic!("{e}"))
@@ -2266,6 +962,20 @@ mod tests {
         assert_eq!(names(&g, &out.matched), vec!["Bob"]);
     }
 
+    /// Audiences of `owners` under one shared `path` through the plan
+    /// engine: the identical conditions collapse to one trie chain and
+    /// each owner rides its own mask bit, the multi-source shape every
+    /// bundle read takes.
+    fn batch(
+        g: &SocialGraph,
+        snap: &CsrSnapshot,
+        owners: &[NodeId],
+        path: &PathExpr,
+    ) -> crate::query::engine::PlanAudienceOutcome {
+        let plan = BundlePlan::compile(&vec![path; owners.len()]).expect("small plan");
+        evaluate_plan_audiences(g, snap, &plan, owners)
+    }
+
     #[test]
     fn batch_audiences_match_per_owner_evaluation() {
         let mut g = chain();
@@ -2282,7 +992,7 @@ mod tests {
         let snap = g.snapshot();
         let owners: Vec<NodeId> = g.nodes().collect();
         for (p, text) in paths.iter().zip(texts) {
-            let batch = evaluate_audience_batch(&g, &snap, &owners, p);
+            let batch = batch(&g, &snap, &owners, p);
             assert_eq!(batch.audiences.len(), owners.len());
             for (owner, audience) in owners.iter().zip(&batch.audiences) {
                 let solo = evaluate_with_snapshot(&g, &snap, *owner, p, None);
@@ -2304,7 +1014,7 @@ mod tests {
         }
         let p = parse(&mut g, "friend-[1]/friend+[1]");
         let snap = g.snapshot();
-        let batch = evaluate_audience_batch(&g, &snap, &leaves, &p);
+        let batch = batch(&g, &snap, &leaves, &p);
         let solo_total: usize = leaves
             .iter()
             .map(|&o| {
@@ -2314,9 +1024,9 @@ mod tests {
             })
             .sum();
         assert!(
-            batch.stats.edges_scanned < solo_total / 2,
+            batch.edges_scanned < solo_total / 2,
             "batch {} vs per-owner sum {}",
-            batch.stats.edges_scanned,
+            batch.edges_scanned,
             solo_total
         );
         for (i, &o) in leaves.iter().enumerate() {
@@ -2336,7 +1046,7 @@ mod tests {
         }
         let p = parse(&mut g, "friend+[1,2]");
         let snap = g.snapshot();
-        let batch = evaluate_audience_batch(&g, &snap, &nodes, &p);
+        let batch = batch(&g, &snap, &nodes, &p);
         for (i, &o) in nodes.iter().enumerate() {
             let solo = evaluate_with_snapshot(&g, &snap, o, &p, None);
             assert_eq!(batch.audiences[i], solo.matched, "owner {o}");
@@ -2350,7 +1060,7 @@ mod tests {
         let snap = g.snapshot();
         let owners = [alice, alice];
         let p = PathExpr::new(vec![]);
-        let batch = evaluate_audience_batch(&g, &snap, &owners, &p);
+        let batch = batch(&g, &snap, &owners, &p);
         assert_eq!(batch.audiences, vec![vec![alice], vec![alice]]);
     }
 
@@ -2362,7 +1072,7 @@ mod tests {
         let dave = g.node_by_name("Dave").unwrap();
         g.connect(alice, "friend", dave); // stales `snap`
         let p = parse(&mut g, "friend+[1]");
-        let batch = evaluate_audience_batch(&g, &snap, &[alice], &p);
+        let batch = batch(&g, &snap, &[alice], &p);
         assert!(
             batch.audiences[0].contains(&dave),
             "stale snapshot must not hide the new edge"
@@ -2440,6 +1150,36 @@ mod tests {
         assert_eq!(g.generation(), gen_before, "evaluation never mutates");
     }
 
+    /// A plan-engine state for `path`'s one-chain plan.
+    fn chain_state(
+        g: &SocialGraph,
+        snap: &CsrSnapshot,
+        path: &PathExpr,
+        parents: bool,
+    ) -> PlanBatchState {
+        let (plan, _) = BundlePlan::chain(path);
+        if parents {
+            PlanBatchState::with_parents(g, snap, &plan.nodes)
+        } else {
+            PlanBatchState::new(g, snap, &plan.nodes)
+        }
+    }
+
+    /// One seeded run of `path`'s one-chain plan (node ids are step
+    /// indexes, every bit rides the chain).
+    fn seeded_run(
+        g: &SocialGraph,
+        snap: &CsrSnapshot,
+        path: &PathExpr,
+        state: &mut PlanBatchState,
+        seeds: &[MaskedSeedState],
+        watched: &[bool],
+        stop: Option<NodeId>,
+    ) -> SeededBatchOutcome {
+        let (plan, masks) = BundlePlan::chain(path);
+        evaluate_plan_batch_seeded(g, snap, &plan.nodes, &masks, state, seeds, watched, stop)
+    }
+
     #[test]
     fn seeded_from_the_start_state_matches_evaluate() {
         let mut g = chain();
@@ -2451,30 +1191,23 @@ mod tests {
         for text in ["friend+[1,2]", "friend*[1..]/colleague+[1]", "friend-[1]"] {
             let p = parse(&mut g, text);
             let truth = evaluate(&g, alice, &p, None);
-            let seeded = evaluate_seeded(
-                &g,
-                &snap,
-                &p,
-                &[(alice, 0, 0)],
-                &none,
-                SeededTarget::Audience,
+            let mut state = chain_state(&g, &snap, &p, false);
+            let seeded = seeded_run(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none, None);
+            assert_eq!(
+                audiences_by_bit(&seeded.matched, 1)[0],
+                truth.matched,
+                "path {text}"
             );
-            assert_eq!(seeded.matched, truth.matched, "path {text}");
-            assert!(seeded.reached.is_empty(), "nothing watched");
+            assert!(seeded.exports.is_empty(), "nothing watched");
             for requester in [carol, dave] {
                 let truth = evaluate(&g, alice, &p, Some(requester));
-                let seeded = evaluate_seeded(
-                    &g,
-                    &snap,
-                    &p,
-                    &[(alice, 0, 0)],
-                    &none,
-                    SeededTarget::Member(requester),
-                );
-                assert_eq!(seeded.hit, truth.granted, "path {text}");
-                if seeded.hit {
-                    let (hops, seed) = seeded.witness.expect("hit carries a witness");
-                    assert_eq!(seed, 0);
+                let mut state = chain_state(&g, &snap, &p, true);
+                let seeds = [(alice, 0, 0, 1)];
+                let seeded = seeded_run(&g, &snap, &p, &mut state, &seeds, &none, Some(requester));
+                assert_eq!(seeded.hit.is_some(), truth.granted, "path {text}");
+                if let Some((node, depth)) = seeded.hit {
+                    let (hops, seed) = state.trace(requester, node, depth).expect("hit is traced");
+                    assert_eq!(seed, (alice, 0, 0));
                     assert_eq!(hops, truth.witness.expect("granted carries a witness"));
                 }
             }
@@ -2490,15 +1223,21 @@ mod tests {
         let mut watched = vec![false; g.num_nodes()];
         watched[bob.index()] = true;
         let p = parse(&mut g, "friend+[1..3]");
-        let seeds = [(alice, 0u16, 0u32), (bob, 0, 2)];
-        let flat = evaluate_seeded_flat(&g, &snap, &p, &seeds, &watched, SeededTarget::Audience);
-        let sparse = evaluate_seeded_sparse(&g, &p, &seeds, &watched, SeededTarget::Audience);
-        assert_eq!(flat.matched, sparse.matched);
-        let mut fr = flat.reached.clone();
-        let mut sr = sparse.reached.clone();
+        let seeds = [(alice, 0u16, 0u32, 1u64), (bob, 0, 2, 1)];
+        let mut flat = chain_state(&g, &snap, &p, false);
+        let mut sparse = PlanBatchState::sparse(&BundlePlan::chain(&p).0.nodes);
+        assert!(!flat.is_sparse() && sparse.is_sparse());
+        let flat = seeded_run(&g, &snap, &p, &mut flat, &seeds, &watched, None);
+        let sparse = seeded_run(&g, &snap, &p, &mut sparse, &seeds, &watched, None);
+        assert_eq!(
+            audiences_by_bit(&flat.matched, 1),
+            audiences_by_bit(&sparse.matched, 1)
+        );
+        let mut fr = flat.exports.clone();
+        let mut sr = sparse.exports.clone();
         fr.sort_unstable();
         sr.sort_unstable();
-        assert_eq!(fr, sr, "watched exports agree across engines");
+        assert_eq!(fr, sr, "watched exports agree across variants");
         assert!(!fr.is_empty(), "Bob is on the friend walk");
     }
 
@@ -2512,70 +1251,46 @@ mod tests {
         let dave = g.node_by_name("Dave").unwrap();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1..2]/colleague+[1]");
-        let out = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(carol, 0, 1)],
-            &none,
-            SeededTarget::Audience,
-        );
-        assert_eq!(out.matched, vec![dave]);
-        // Depth past saturation canonicalizes to the same state.
-        let deep = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(carol, 0, 99)],
-            &none,
-            SeededTarget::Audience,
-        );
-        assert_eq!(deep.matched, vec![dave]);
+        for depth in [1, 99] {
+            // Depth past saturation canonicalizes to the same state.
+            let mut state = chain_state(&g, &snap, &p, false);
+            let out = seeded_run(
+                &g,
+                &snap,
+                &p,
+                &mut state,
+                &[(carol, 0, depth, 1)],
+                &none,
+                None,
+            );
+            assert_eq!(out.matched, vec![(dave, 1)], "seed depth {depth}");
+        }
     }
 
     #[test]
     fn seeded_state_target_stops_with_a_segment() {
+        // The cross-shard witness segment of a state: its parent chain
+        // back to the seed it was first reached from.
         let mut g = chain();
         let snap = g.snapshot();
         let alice = g.node_by_name("Alice").unwrap();
         let carol = g.node_by_name("Carol").unwrap();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1..2]/colleague+[1]");
+        let mut state = chain_state(&g, &snap, &p, true);
+        seeded_run(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none, None);
         // Reaching Carol at (step 0, depth 2) takes two friend hops.
-        let out = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(alice, 0, 0)],
-            &none,
-            SeededTarget::State(carol, 0, 2),
-        );
-        assert!(out.hit);
-        let (hops, seed) = out.witness.expect("state target carries a witness");
-        assert_eq!(seed, 0);
+        let (hops, seed) = state.trace(carol, 0, 2).expect("Carol is reached");
+        assert_eq!(seed, (alice, 0, 0));
         assert_eq!(hops.len(), 2);
-        // A state target that equals a seed yields an empty segment.
-        let trivial = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(alice, 0, 0)],
-            &none,
-            SeededTarget::State(alice, 0, 0),
-        );
-        assert!(trivial.hit);
-        assert_eq!(trivial.witness.expect("hit").0.len(), 0);
-        // An unreachable state never hits.
-        let missed = evaluate_seeded(
-            &g,
-            &snap,
-            &p,
-            &[(carol, 1, 1)],
-            &none,
-            SeededTarget::State(alice, 0, 1),
-        );
-        assert!(!missed.hit);
-        assert!(missed.witness.is_none());
+        // A state that is a seed yields an empty segment.
+        let (own, seed) = state.trace(alice, 0, 0).expect("the seed is reached");
+        assert!(own.is_empty());
+        assert_eq!(seed, (alice, 0, 0));
+        // An unreachable state has no segment.
+        let mut missed = chain_state(&g, &snap, &p, true);
+        seeded_run(&g, &snap, &p, &mut missed, &[(carol, 1, 1, 1)], &none, None);
+        assert!(missed.trace(alice, 0, 1).is_none());
     }
 
     /// Collects a masked run's audiences per condition bit, sorted.
@@ -2603,14 +1318,14 @@ mod tests {
         let none = vec![false; g.num_nodes()];
         for text in ["friend+[1,2]", "friend*[1..]/colleague+[1]", "friend-[1]"] {
             let p = parse(&mut g, text);
-            let truth = evaluate_audience_batch(&g, &snap, &owners, &p);
-            let mut state = SeededBatchState::new(&g, &snap, &p);
+            let truth = batch(&g, &snap, &owners, &p);
+            let mut state = chain_state(&g, &snap, &p, false);
             let seeds: Vec<MaskedSeedState> = owners
                 .iter()
                 .enumerate()
                 .map(|(bit, &o)| (o, 0, 0, 1u64 << bit))
                 .collect();
-            let out = evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &seeds, &none);
+            let out = seeded_run(&g, &snap, &p, &mut state, &seeds, &none, None);
             assert!(out.exports.is_empty(), "nothing watched");
             assert_eq!(
                 audiences_by_bit(&out.matched, owners.len()),
@@ -2628,25 +1343,22 @@ mod tests {
         let bob = g.node_by_name("Bob").unwrap();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1,2]");
-        let mut state = SeededBatchState::new(&g, &snap, &p);
-        let out =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none);
+        let mut state = chain_state(&g, &snap, &p, false);
+        let out = seeded_run(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none, None);
         assert!(!out.matched.is_empty());
         let expanded = state.states_expanded();
         assert!(expanded > 0);
 
         // Re-seeding known bits is a no-op: persistence makes the
         // fixpoint linear in the explored region.
-        let again =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none);
+        let again = seeded_run(&g, &snap, &p, &mut state, &[(alice, 0, 0, 1)], &none, None);
         assert!(again.matched.is_empty());
         assert!(again.exports.is_empty());
         assert_eq!(again.stats.states_visited, 0);
         assert_eq!(state.states_expanded(), expanded, "no re-traversal");
 
         // A new bit through the same region reports only itself.
-        let fresh =
-            evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &[(bob, 0, 0, 2)], &none);
+        let fresh = seeded_run(&g, &snap, &p, &mut state, &[(bob, 0, 0, 2)], &none, None);
         for &(_, mask) in &fresh.matched {
             assert_eq!(mask & 1, 0, "bit 0 was already reported");
         }
@@ -2662,25 +1374,20 @@ mod tests {
         let mut watched = vec![false; g.num_nodes()];
         watched[bob.index()] = true;
         let p = parse(&mut g, "friend+[1,2]");
-        let mut state = SeededBatchState::new(&g, &snap, &p);
-        let out = evaluate_audience_batch_seeded(
-            &g,
-            &snap,
-            &p,
-            &mut state,
-            &[(alice, 0, 0, 0b01), (eve, 0, 0, 0b10)],
-            &watched,
-        );
+        let mut state = chain_state(&g, &snap, &p, false);
+        let seeds = [(alice, 0, 0, 0b01), (eve, 0, 0, 0b10)];
+        let out = seeded_run(&g, &snap, &p, &mut state, &seeds, &watched, None);
         // Alice reaches Bob at depth 1; Eve does not reach Bob at all.
         assert_eq!(out.exports, vec![(bob, 0, 1, 0b01)]);
         // A later run delivering Eve's bit to Bob exports only it.
-        let relay = evaluate_audience_batch_seeded(
+        let relay = seeded_run(
             &g,
             &snap,
             &p,
             &mut state,
             &[(bob, 0, 1, 0b11)],
             &watched,
+            None,
         );
         assert_eq!(relay.exports, vec![(bob, 0, 1, 0b10)]);
     }
@@ -2694,9 +1401,9 @@ mod tests {
         let owners: Vec<NodeId> = g.nodes().collect();
         let none = vec![false; g.num_nodes()];
         let p = parse(&mut g, "friend+[1..4000000]");
-        let mut state = SeededBatchState::new(&g, &snap, &p);
+        let mut state = chain_state(&g, &snap, &p, false);
         assert!(
-            matches!(state.inner, BatchInner::Sparse(_)),
+            state.is_sparse(),
             "degenerate saturation uses the sparse mirror"
         );
         let seeds: Vec<MaskedSeedState> = owners
@@ -2704,7 +1411,7 @@ mod tests {
             .enumerate()
             .map(|(bit, &o)| (o, 0, 0, 1u64 << bit))
             .collect();
-        let out = evaluate_audience_batch_seeded(&g, &snap, &p, &mut state, &seeds, &none);
+        let out = seeded_run(&g, &snap, &p, &mut state, &seeds, &none, None);
         let audiences = audiences_by_bit(&out.matched, owners.len());
         for (bit, &owner) in owners.iter().enumerate() {
             let truth = evaluate(&g, owner, &p, None);

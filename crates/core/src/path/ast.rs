@@ -293,6 +293,12 @@ impl Step {
     }
 }
 
+/// The most steps a path may have. Every engine keys a product state's
+/// step (or plan node) by a `u16`, so both policy grammars refuse
+/// longer paths with a typed parse error instead of letting the index
+/// wrap.
+pub const MAX_STEPS: usize = u16::MAX as usize;
+
 /// A full access-condition path: the ordered sequence of steps.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PathExpr {

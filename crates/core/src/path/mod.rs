@@ -3,5 +3,5 @@
 pub mod ast;
 pub mod parse;
 
-pub use ast::{AttrPredicate, CmpOp, DepthSet, PathExpr, Step};
+pub use ast::{AttrPredicate, CmpOp, DepthSet, PathExpr, Step, MAX_STEPS};
 pub use parse::parse_path;

@@ -25,7 +25,7 @@
 //! edge of that type exists.
 
 use crate::error::ParseError;
-use crate::path::ast::{AttrPredicate, CmpOp, DepthSet, PathExpr, Step};
+use crate::path::ast::{AttrPredicate, CmpOp, DepthSet, PathExpr, Step, MAX_STEPS};
 use socialreach_graph::{AttrValue, Direction, Vocabulary};
 
 /// Parses a path expression, interning labels/keys into `vocab`.
@@ -46,6 +46,9 @@ pub fn parse_path(text: &str, vocab: &mut Vocabulary) -> Result<PathExpr, ParseE
             Some(b'/') | Some(b'=') => {
                 p.pos += 1;
                 p.skip_ws();
+                if steps.len() == MAX_STEPS {
+                    return Err(p.err(format!("a path has at most {MAX_STEPS} steps")));
+                }
                 steps.push(p.step(vocab)?);
             }
             None => break,

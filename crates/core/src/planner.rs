@@ -228,7 +228,7 @@ pub struct ResourceProfile {
     /// of per-condition product states the bundle's shared-prefix
     /// compilation eliminated (`1 − plan/expr`, from
     /// [`ReadStats::prefix_share`]). Stays at its default (0) until a
-    /// trie-planned batched read observes it — grouped-mode, targeted
+    /// trie-planned batched read observes it — plan-overflow, targeted
     /// and per-condition reads leave the EWMA untouched. Near-tie
     /// audience planning consults this field: the shared plan is only
     /// preferred over per-condition walks when prefixes actually
@@ -1025,7 +1025,7 @@ mod tests {
         let prof = p.profile(rid(0)).unwrap();
         assert_eq!(prof.prefix_share, 0.4375);
 
-        // A grouped-mode census (no plan compiled → expr_states == 0)
+        // A census with no plan compiled (expr_states == 0)
         // reports no share and must leave the EWMA untouched.
         p.observe_audience(
             &[rid(0)],

@@ -12,9 +12,10 @@
 //! * **Plan compiler** ([`plan::BundlePlan`]): compiles a bundle of
 //!   conditions into one shared-prefix trie so the masked multi-source
 //!   BFS ([`engine`]) walks each shared prefix **once** and forks
-//!   64-bit condition masks only where the paths diverge — replacing
-//!   the identical-expression grouping key in the single-graph,
-//!   sharded and networked batch read paths.
+//!   64-bit condition masks only where the paths diverge. It is the
+//!   batched read path of the single-graph, sharded and networked
+//!   backends; a bundle that overflows the plan's `u16` node budget
+//!   falls back to one condition at a time.
 //!
 //! Ad-hoc audience queries enter through
 //! [`AccessService::query_audience`](crate::service::AccessService::query_audience):
@@ -48,7 +49,10 @@ pub mod engine;
 pub mod parse;
 pub mod plan;
 
-pub use engine::{evaluate_plan_audiences, evaluate_plan_batch_seeded, PlanBatchState};
+pub use engine::{
+    evaluate_plan_audiences, evaluate_plan_batch_seeded, MaskedSeedState, PlanBatchState,
+    SeededBatchOutcome,
+};
 pub use parse::{looks_like_query, parse_query, render_query};
 pub use plan::{BundlePlan, ChunkMasks, PlanNode};
 
@@ -99,16 +103,6 @@ pub fn parse_queries_readonly(
         });
     }
     Ok(out)
-}
-
-/// True when the `SOCIALREACH_BUNDLE_PLAN=grouped` lever forces the
-/// batched read paths back onto the identical-expression grouping key
-/// (the shared-prefix trie's benchmark baseline and differential
-/// oracle). Any other value — including unset — serves the trie plan.
-pub fn grouped_plan_forced() -> bool {
-    std::env::var("SOCIALREACH_BUNDLE_PLAN")
-        .map(|v| v.eq_ignore_ascii_case("grouped"))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -171,5 +165,45 @@ mod tests {
         let vocab = Vocabulary::new();
         let err = parse_queries_readonly(&["MATCH (o)-[:x*0]->(v)"], &vocab).unwrap_err();
         assert!(matches!(err, EvalError::Parse(_)));
+    }
+
+    /// Step indexes are `u16` in every engine, so a path one step past
+    /// [`crate::path::MAX_STEPS`] must be refused in both grammars —
+    /// through rule registration and through ad-hoc queries — rather
+    /// than wrap and answer wrongly.
+    #[test]
+    fn paths_past_the_step_cap_are_refused_in_both_grammars() {
+        use crate::path::MAX_STEPS;
+        use crate::service::Deployment;
+        let classic = vec!["friend+[1]"; MAX_STEPS + 1].join("/");
+        let cypher = format!("MATCH (o){}", "-[:friend]->(v)".repeat(MAX_STEPS + 1));
+        let mut vocab = Vocabulary::new();
+        for text in [&classic, &cypher] {
+            let e = parse_policy(text, &mut vocab).unwrap_err();
+            assert!(e.to_string().contains("at most 65535"), "{e}");
+        }
+        // Exactly the cap still parses.
+        let at_cap = vec!["friend+[1]"; MAX_STEPS].join("/");
+        assert_eq!(parse_policy(&at_cap, &mut vocab).unwrap().len(), MAX_STEPS);
+
+        let mut svc = Deployment::online().build();
+        let a = svc.writes().add_user("a");
+        let b = svc.writes().add_user("b");
+        svc.writes().add_relationship(a, "friend", b);
+        let rid = svc.writes().add_resource(a);
+        for text in [&classic, &cypher] {
+            let e = svc.writes().add_rule(rid, text).unwrap_err();
+            assert!(matches!(e, EvalError::Parse(_)), "{e}");
+            let e = svc
+                .reads()
+                .query_audience_bundle(&[(a, text.as_str())])
+                .unwrap_err();
+            assert!(matches!(e, EvalError::Parse(_)), "{e}");
+        }
+        assert_eq!(
+            svc.reads().audience(rid).unwrap(),
+            vec![a],
+            "refused rules attach nothing"
+        );
     }
 }

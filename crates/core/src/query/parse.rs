@@ -34,7 +34,7 @@
 //! properties instead.
 
 use crate::error::ParseError;
-use crate::path::ast::{AttrPredicate, CmpOp, DepthSet, PathExpr, Step};
+use crate::path::ast::{AttrPredicate, CmpOp, DepthSet, PathExpr, Step, MAX_STEPS};
 use socialreach_graph::{AttrValue, Direction, Vocabulary};
 
 /// Parses an openCypher-flavored query, interning labels/keys into
@@ -69,6 +69,9 @@ pub fn parse_query(text: &str, vocab: &mut Vocabulary) -> Result<PathExpr, Parse
         p.skip_ws();
         if p.at_end() {
             break;
+        }
+        if steps.len() == MAX_STEPS {
+            return Err(p.err(format!("a query has at most {MAX_STEPS} relationships")));
         }
         let (label_name, dir, depths) = p.rel()?;
         let label = vocab.intern_label(label_name);

@@ -2,10 +2,9 @@
 //!
 //! A bundle of access conditions overwhelmingly shares *prefixes* even
 //! when the full paths differ (`friend.friend` vs
-//! `friend.friend.colleague` in a feed-shaped read). The batched
-//! evaluators used to share traversal only between conditions whose
-//! path expressions were *identical* — the grouping key. This module
-//! replaces that key with a prefix trie: each bundle compiles into one
+//! `friend.friend.colleague` in a feed-shaped read), so the batched
+//! evaluators share traversal by prefix, not only between identical
+//! expressions: each bundle compiles into one
 //! [`BundlePlan`] whose nodes are canonicalized [`Step`]s, conditions
 //! that spell the same first k steps share the first k trie nodes, and
 //! the masked multi-source BFS walks each shared node **once**,
@@ -67,8 +66,9 @@ impl BundlePlan {
     /// trie. Steps are canonicalized before node lookup, so
     /// semantically identical steps share a node regardless of how
     /// they were written. Returns `None` if the bundle needs more than
-    /// `u16::MAX` trie nodes (callers fall back to per-expression
-    /// grouping).
+    /// `u16::MAX` trie nodes; callers then evaluate one condition at a
+    /// time, whose one-chain plans always fit because the parsers cap a
+    /// path at [`crate::path::MAX_STEPS`] steps.
     pub fn compile(paths: &[&PathExpr]) -> Option<BundlePlan> {
         let mut plan = BundlePlan {
             nodes: Vec::new(),
@@ -116,6 +116,24 @@ impl BundlePlan {
             plan.chains.push(Some(chain));
         }
         Some(plan)
+    }
+
+    /// The one-chain plan of a single non-empty path — node `i` is step
+    /// `i` — plus masks that carry **every** condition bit along the
+    /// chain and accept all of them at its end. This is how a lone path
+    /// runs on the plan engine with any bits: the sharded targeted
+    /// check and the wire's `BeginEval` session.
+    pub fn chain(path: &PathExpr) -> (BundlePlan, ChunkMasks) {
+        assert!(!path.is_empty(), "empty paths are decided untraversed");
+        let plan = BundlePlan::compile(&[path]).expect("the parsers cap a path at u16::MAX steps");
+        let n = plan.nodes.len();
+        let mut accept_mask = vec![0; n];
+        accept_mask[n - 1] = u64::MAX;
+        let masks = ChunkMasks {
+            node_mask: vec![u64::MAX; n],
+            accept_mask,
+        };
+        (plan, masks)
     }
 
     /// Number of conditions the plan was compiled from.

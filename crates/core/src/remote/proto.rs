@@ -101,9 +101,12 @@ pub enum Request {
         /// The epoch being abandoned.
         epoch: u64,
     },
-    /// Open a masked-fixpoint evaluation session. Refused unless
-    /// `epoch` matches the shard's published epoch (the read half of
-    /// the fence).
+    /// Open a masked-fixpoint evaluation session over one path. The
+    /// shard compiles the path into a one-chain plan (node id = step
+    /// index) with every condition bit carried along the chain, so the
+    /// session runs on the same plan engine as `BeginEvalPlan`. Refused
+    /// unless `epoch` matches the shard's published epoch (the read
+    /// half of the fence).
     BeginEval {
         /// Router-unique evaluation id (shared by every shard of one
         /// evaluation).
@@ -125,10 +128,10 @@ pub enum Request {
     /// linear path: `nodes` ships the plan's trie with each node's step
     /// in canonical text and its per-chunk condition masks baked in,
     /// and subsequent `Round` seeds carry *plan node ids* in the `step`
-    /// slot of their masked keys. Plan sessions serve batched audience
-    /// fixpoints only — they refuse `Round.stop` and `Trace` (targeted
-    /// check/explain stays on `BeginEval`'s linear engine). Refused
-    /// unless `epoch` matches, exactly like `BeginEval`. Appended in
+    /// slot of their masked keys. Plan sessions keep no parent chains,
+    /// so `Trace` refuses them; the targeted check/explain path opens a
+    /// parent-tracked `BeginEval` instead. Refused unless `epoch`
+    /// matches, exactly like `BeginEval`. Appended in
     /// protocol version 1: the variant is new but no existing message
     /// changed shape.
     BeginEvalPlan {
@@ -164,7 +167,8 @@ pub enum Request {
         eval: u64,
         /// Global member id of the traced state.
         member: u32,
-        /// Path step index of the traced state.
+        /// Plan node of the traced state (the step index of a
+        /// `BeginEval` session's path).
         step: u16,
         /// Saturated depth of the traced state.
         depth: u32,

@@ -49,7 +49,7 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// A cross-shard product-state coordinate: global member, step index,
+/// A cross-shard product-state coordinate: global member, plan node,
 /// saturated depth.
 type StateKey = (u32, u16, u32);
 
@@ -155,9 +155,10 @@ struct NetStats {
     rounds: usize,
     states_expanded: usize,
     exported_states: usize,
-    /// Shared-trie automaton states (zero in grouped mode).
+    /// Shared-trie automaton states (zero when run per condition).
     plan_states: usize,
-    /// One-chain-per-condition automaton states (zero in grouped mode).
+    /// One-chain-per-condition automaton states (zero when run per
+    /// condition).
     expr_states: usize,
 }
 
@@ -802,8 +803,8 @@ impl NetworkedSystem {
     }
 
     /// Opens the evaluation on a shard if this is its first activation
-    /// (delivering the prebuilt `begin` request — `BeginEval` for the
-    /// linear engine, `BeginEvalPlan` for the shared-trie plan), then
+    /// (delivering the prebuilt `begin` request — `BeginEval` for a
+    /// targeted single path, `BeginEvalPlan` for a bundle plan), then
     /// delivers the seeds in [`MAX_ROUND_EXPORTS`]-sized sub-batches
     /// (at most one frame in flight per shard). Returns the merged
     /// outcome; an early-exit hit stops further delivery.
@@ -929,112 +930,19 @@ impl NetworkedSystem {
 
     /// The batched bundle fixpoint over the wire — the exact algorithm
     /// of [`crate::sharded::ShardedSystem::evaluate_conditions_batched`]
-    /// with `Round` exchanges in place of in-process seeded runs:
-    /// conditions group by path, each group's owners traverse as
-    /// condition bits (64 per word chunk), the router forwards only
-    /// **new** bits between shards ([`MaskedExportSet`]), and merging
-    /// happens in shard order for determinism.
+    /// with `Round` exchanges in place of in-process seeded runs: one
+    /// shared-prefix plan per bundle, one fixpoint per 64-condition
+    /// chunk, or one condition at a time when the bundle overflows the
+    /// plan's `u16` node budget.
     fn evaluate_conditions_batched(
         &self,
         conds: &[(NodeId, &PathExpr)],
     ) -> Result<(Vec<Vec<NodeId>>, NetStats), RemoteError> {
-        if !crate::query::grouped_plan_forced() {
-            let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
-            if let Some(plan) = crate::query::BundlePlan::compile(&paths) {
-                return self.evaluate_conditions_planned(conds, &plan);
-            }
+        let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
+        match crate::query::BundlePlan::compile(&paths) {
+            Some(plan) => self.evaluate_conditions_planned(conds, &plan),
+            None => self.audience_per_condition(conds),
         }
-        let n = self.lanes.len();
-        let mut stats = NetStats::default();
-        let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &(_, path)) in conds.iter().enumerate() {
-            match groups.iter_mut().find(|(rep, _)| conds[*rep].1 == path) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((i, vec![i])),
-            }
-        }
-        for (rep, members) in groups {
-            let path = conds[rep].1;
-            if path.is_empty() {
-                for &ci in &members {
-                    audiences[ci] = vec![conds[ci].0];
-                }
-                continue;
-            }
-            let path_text = path.to_text(&self.vocab);
-            let mut imported = MaskedExportSet::new();
-            for (word, chunk) in members.chunks(64).enumerate() {
-                let word = word as u32;
-                stats.fixpoints += 1;
-                let eval = self.eval_counter.fetch_add(1, Ordering::Relaxed);
-                let begin = Request::BeginEval {
-                    eval,
-                    epoch: self.epoch,
-                    path: path_text.clone(),
-                    word,
-                    parents: false,
-                };
-                let mut begun = vec![false; n];
-                let mut pending: Vec<Vec<MaskedExport>> = vec![Vec::new(); n];
-                for (bit, &ci) in chunk.iter().enumerate() {
-                    let owner = conds[ci].0;
-                    let key = MaskedStateKey {
-                        member: owner.0,
-                        step: 0,
-                        depth: 0,
-                        word,
-                    };
-                    imported.insert(key, 1 << bit);
-                    pending[self.members[owner.index()].home as usize].push(MaskedExport {
-                        key,
-                        mask: 1 << bit,
-                    });
-                }
-                let result = (|| loop {
-                    let round: Vec<(usize, Vec<MaskedExport>)> = pending
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(_, seeds)| !seeds.is_empty())
-                        .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                        .collect();
-                    if round.is_empty() {
-                        return Ok(());
-                    }
-                    stats.rounds += 1;
-                    let outs = self.run_remote_round(&round, &mut begun, eval, &begin, None)?;
-                    for ((_, _), out) in round.iter().zip(outs) {
-                        for m in &out.matched {
-                            let mut b = m.mask;
-                            while b != 0 {
-                                let bit = b.trailing_zeros() as usize;
-                                b &= b - 1;
-                                audiences[chunk[bit]].push(NodeId(m.member));
-                            }
-                        }
-                        for exp in &out.exports {
-                            let new = imported.insert(exp.key, exp.mask);
-                            if new != 0 {
-                                stats.exported_states += 1;
-                                let home = self.members[exp.key.member as usize].home as usize;
-                                pending[home].push(MaskedExport {
-                                    key: exp.key,
-                                    mask: new,
-                                });
-                            }
-                        }
-                        stats.states_expanded += out.states_expanded as usize;
-                    }
-                })();
-                self.end_eval(eval, &begun);
-                result?;
-            }
-        }
-        for audience in &mut audiences {
-            audience.sort_unstable();
-            audience.dedup();
-        }
-        Ok((audiences, stats))
     }
 
     /// The shared-prefix bundle fixpoint over the wire: the router
@@ -1043,9 +951,9 @@ impl NetworkedSystem {
     /// (plan nodes travel as canonical one-step path text plus the
     /// chunk's ε-fork/accept masks), so each shared prefix is entered
     /// once per shard and condition masks fork where paths diverge.
-    /// Round exchanges, new-bit forwarding, and shard-order merging are
-    /// identical to the grouped path — only the per-group traversals
-    /// collapse into one per 64-condition chunk.
+    /// The router forwards only **new** bits between shards
+    /// ([`MaskedExportSet`]) and merges in shard order for
+    /// determinism.
     fn evaluate_conditions_planned(
         &self,
         conds: &[(NodeId, &PathExpr)],
@@ -1156,7 +1064,8 @@ impl NetworkedSystem {
     }
 
     /// The targeted single-condition fixpoint over the wire (the
-    /// `check`/`explain` path): a 1-bit bundle with first-arrival
+    /// `check`/`explain` path): a one-bit `BeginEval` session (the
+    /// shard runs the path as a one-chain plan) with first-arrival
     /// parent tracking on every shard engine, early exit on the
     /// requester's home shard, and the witness stitched from remote
     /// `Trace` segments. Mirrors
@@ -1315,8 +1224,11 @@ impl NetworkedSystem {
     }
 
     /// The per-condition bundle strategy: each deduped condition runs
-    /// its own 1-bit batched fixpoint (fresh eval, fresh engines) —
-    /// the planner's [`BundleStrategy::PerCondition`] arm.
+    /// its own one-chain fixpoint (fresh eval, fresh engines) — the
+    /// planner's [`BundleStrategy::PerCondition`] arm. One path's plan
+    /// always compiles (the parsers cap paths at
+    /// [`crate::path::MAX_STEPS`]) and shares nothing, so the census
+    /// leaves the plan/expression state counts at zero.
     fn audience_per_condition(
         &self,
         conds: &[(NodeId, &PathExpr)],
@@ -1324,7 +1236,9 @@ impl NetworkedSystem {
         let mut total = NetStats::default();
         let mut audiences = Vec::with_capacity(conds.len());
         for &cond in conds {
-            let (mut auds, s) = self.evaluate_conditions_batched(&[cond])?;
+            let plan = crate::query::BundlePlan::compile(&[cond.1])
+                .expect("the parsers cap a path at u16::MAX steps");
+            let (mut auds, s) = self.evaluate_conditions_planned(&[cond], &plan)?;
             total.fixpoints += s.fixpoints;
             total.rounds += s.rounds;
             total.states_expanded += s.states_expanded;

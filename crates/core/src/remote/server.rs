@@ -14,18 +14,19 @@
 //! under the core lock and publishes the new epoch (also invalidating
 //! every open evaluation session — their engines were built over the
 //! old topology). Evaluation sessions pin a CSR snapshot and a
-//! round-persistent [`SeededBatchState`], so the rounds of one
-//! cross-shard fixpoint reuse visited state exactly like the
-//! in-process sharded backend.
+//! round-persistent [`PlanBatchState`] of the masked plan engine, so
+//! the rounds of one cross-shard fixpoint reuse visited state exactly
+//! like the in-process sharded backend. A `BeginEval` session's single
+//! path runs as a one-chain plan ([`BundlePlan::chain`]), so both
+//! session kinds share one engine.
 
 use super::frame;
 use super::proto::{
     self, Request, Response, ShardOp, WireHop, WireMatch, WireRefusal, PROTOCOL_VERSION,
 };
 use super::{Conn, Listener, ShardAddr};
-use crate::online::{self, MaskedSeedState, SeededBatchState};
-use crate::path::{parse_path, PathExpr};
-use crate::query::{ChunkMasks, PlanBatchState, PlanNode};
+use crate::path::parse_path;
+use crate::query::{BundlePlan, ChunkMasks, MaskedSeedState, PlanBatchState, PlanNode};
 use parking_lot::Mutex;
 use socialreach_graph::csr::CsrSnapshot;
 use socialreach_graph::shard::{MaskedExport, MaskedStateKey};
@@ -43,33 +44,15 @@ const POLL: Duration = Duration::from_millis(50);
 /// client torn mid-frame releases the worker instead of pinning it.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The engine behind an open evaluation: the linear path automaton
-/// (`BeginEval` — targeted stop and parent-tracked traces supported)
-/// or the shared-prefix trie plan (`BeginEvalPlan` — batched audience
-/// fixpoints only).
-enum EvalEngine {
-    /// One path expression, seeds carry step indexes.
-    Linear {
-        /// Round-persistent masked visited state.
-        engine: SeededBatchState,
-        /// The re-parsed path the engine runs.
-        path: PathExpr,
-    },
-    /// A shipped bundle plan, seeds carry plan node ids in the `step`
-    /// slot.
-    Plan {
-        /// Round-persistent per-node masked visited state.
-        engine: PlanBatchState,
-        /// The re-parsed trie nodes.
-        nodes: Vec<PlanNode>,
-        /// This chunk's node/accept masks.
-        masks: ChunkMasks,
-    },
-}
-
-/// One open masked-fixpoint evaluation.
+/// One open masked-fixpoint evaluation: the plan it runs (a
+/// `BeginEval` path as a one-chain plan with all-ones masks, or a
+/// shipped `BeginEvalPlan` trie with its chunk masks), the engine's
+/// round-persistent state, and the pinned snapshot. Seeds carry plan
+/// node ids in the `step` slot.
 struct EvalSession {
-    engine: EvalEngine,
+    engine: PlanBatchState,
+    nodes: Vec<PlanNode>,
+    masks: ChunkMasks,
     snap: Arc<CsrSnapshot>,
     word: u32,
 }
@@ -321,18 +304,18 @@ impl ShardCore {
                     });
                 }
                 let snap = self.snapshot();
+                let (plan, masks) = BundlePlan::chain(&parsed);
                 let engine = if parents {
-                    SeededBatchState::with_parents(&self.graph, &snap, &parsed)
+                    PlanBatchState::with_parents(&self.graph, &snap, &plan.nodes)
                 } else {
-                    SeededBatchState::new(&self.graph, &snap, &parsed)
+                    PlanBatchState::new(&self.graph, &snap, &plan.nodes)
                 };
                 self.evals.insert(
                     eval,
                     EvalSession {
-                        engine: EvalEngine::Linear {
-                            engine,
-                            path: parsed,
-                        },
+                        engine,
+                        nodes: plan.nodes,
+                        masks,
                         snap,
                         word,
                     },
@@ -351,14 +334,18 @@ impl ShardCore {
                         requested: epoch,
                     });
                 }
-                if nodes.is_empty() {
+                if nodes.is_empty() || nodes.len() > u16::MAX as usize {
                     return refuse(WireRefusal::BadRequest {
-                        detail: "a bundle plan needs at least one node".to_owned(),
+                        detail: format!(
+                            "a bundle plan has 1..={} nodes, not {}",
+                            u16::MAX,
+                            nodes.len()
+                        ),
                     });
                 }
                 // Re-parse each node's step against a throwaway copy of
                 // the vocabulary, refusing unknown names exactly like
-                // `BeginEval` does for its one path.
+                // `BeginEval` does for its path.
                 let mut vocab = self.graph.vocab().clone();
                 let before = (vocab.num_labels(), vocab.num_attrs());
                 let mut plan_nodes: Vec<PlanNode> = Vec::with_capacity(nodes.len());
@@ -406,11 +393,9 @@ impl ShardCore {
                 self.evals.insert(
                     eval,
                     EvalSession {
-                        engine: EvalEngine::Plan {
-                            engine,
-                            nodes: plan_nodes,
-                            masks,
-                        },
+                        engine,
+                        nodes: plan_nodes,
+                        masks,
                         snap,
                         word,
                     },
@@ -432,18 +417,17 @@ impl ShardCore {
                             ),
                         });
                     }
+                    if e.key.step as usize >= sess.nodes.len() {
+                        return refuse(WireRefusal::BadRequest {
+                            detail: format!("seed plan node {} is out of range", e.key.step),
+                        });
+                    }
                     let Some(&local) = self.local_of.get(&e.key.member) else {
                         return refuse(WireRefusal::UnknownMember {
                             member: e.key.member,
                         });
                     };
                     local_seeds.push((local, e.key.step, e.key.depth, e.mask));
-                }
-                if stop.is_some() && matches!(sess.engine, EvalEngine::Plan { .. }) {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: "plan sessions serve audience fixpoints only (no stop target)"
-                            .to_owned(),
-                    });
                 }
                 let stop_local = match stop {
                     Some(m) => match self.local_of.get(&m) {
@@ -465,32 +449,16 @@ impl ShardCore {
                     ..
                 } = self;
                 let sess = evals.get_mut(&eval).expect("checked above");
-                let out = match &mut sess.engine {
-                    EvalEngine::Linear { engine, path } => {
-                        online::evaluate_audience_batch_seeded_stop(
-                            graph,
-                            &sess.snap,
-                            path,
-                            engine,
-                            &local_seeds,
-                            ghost,
-                            stop_local,
-                        )
-                    }
-                    EvalEngine::Plan {
-                        engine,
-                        nodes,
-                        masks,
-                    } => crate::query::evaluate_plan_batch_seeded(
-                        graph,
-                        &sess.snap,
-                        nodes,
-                        masks,
-                        engine,
-                        &local_seeds,
-                        ghost,
-                    ),
-                };
+                let out = crate::query::evaluate_plan_batch_seeded(
+                    graph,
+                    &sess.snap,
+                    &sess.nodes,
+                    &sess.masks,
+                    &mut sess.engine,
+                    &local_seeds,
+                    ghost,
+                    stop_local,
+                );
                 (
                     Response::Round {
                         matched: out
@@ -533,13 +501,7 @@ impl ShardCore {
                 let Some(&local) = self.local_of.get(&member) else {
                     return refuse(WireRefusal::UnknownMember { member });
                 };
-                let EvalEngine::Linear { engine, .. } = &sess.engine else {
-                    return refuse(WireRefusal::BadRequest {
-                        detail: "plan sessions keep no parent chains (trace a linear session)"
-                            .to_owned(),
-                    });
-                };
-                match engine.trace(local, step, depth) {
+                match sess.engine.trace(local, step, depth) {
                     None => refuse(WireRefusal::BadRequest {
                         detail: format!(
                             "state (member {member}, step {step}, depth {depth}) has no \
@@ -752,5 +714,90 @@ fn serve_conn(mut conn: Conn, core: Arc<Mutex<ShardCore>>, stop: Arc<AtomicBool>
             stop.store(true, Ordering::SeqCst);
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard at epoch 1 holding member 0, with `friend` interned.
+    fn one_member_shard() -> ShardCore {
+        let mut core = ShardCore::new();
+        let ok = |(resp, _): (Response, bool)| {
+            assert!(!matches!(resp, Response::Refused(_)), "{resp:?}");
+        };
+        ok(core.handle(Request::Intern {
+            labels: vec!["friend".to_owned()],
+            attrs: Vec::new(),
+        }));
+        ok(core.handle(Request::Prepare {
+            epoch: 1,
+            ops: vec![ShardOp::AddNode {
+                global: 0,
+                name: "a".to_owned(),
+                ghost: false,
+            }],
+        }));
+        ok(core.handle(Request::Commit { epoch: 1 }));
+        core
+    }
+
+    fn refused(resp: (Response, bool)) -> bool {
+        matches!(resp.0, Response::Refused(WireRefusal::BadRequest { .. }))
+    }
+
+    #[test]
+    fn out_of_range_plan_nodes_are_refused() {
+        let mut core = one_member_shard();
+        let begun = core.handle(Request::BeginEval {
+            eval: 7,
+            epoch: 1,
+            path: "friend+[1]".to_owned(),
+            word: 0,
+            parents: true,
+        });
+        assert!(matches!(begun.0, Response::EvalOpen { eval: 7 }));
+        // The one-chain plan of a one-step path has node 0 only.
+        let seed = |step| MaskedExport {
+            key: MaskedStateKey {
+                member: 0,
+                step,
+                depth: 0,
+                word: 0,
+            },
+            mask: 1,
+        };
+        let round = |core: &mut ShardCore, step| {
+            core.handle(Request::Round {
+                eval: 7,
+                seeds: vec![seed(step)],
+                stop: None,
+            })
+        };
+        assert!(refused(round(&mut core, 1)), "seed node past the plan");
+        assert!(matches!(round(&mut core, 0).0, Response::Round { .. }));
+        let trace = core.handle(Request::Trace {
+            eval: 7,
+            member: 0,
+            step: 9,
+            depth: 0,
+        });
+        assert!(refused(trace), "trace node past the plan");
+        let huge = core.handle(Request::BeginEvalPlan {
+            eval: 8,
+            epoch: 1,
+            nodes: vec![
+                proto::WirePlanNode {
+                    step: "friend+[1]".to_owned(),
+                    children: Vec::new(),
+                    mask: 1,
+                    accept: 1,
+                };
+                u16::MAX as usize + 1
+            ],
+            word: 0,
+        });
+        assert!(refused(huge), "node ids would not fit the u16 slot");
     }
 }

@@ -70,10 +70,11 @@ pub struct ReadStats {
     /// Distinct `(owner, path)` conditions evaluated after bundle-level
     /// dedup.
     pub conditions: usize,
-    /// Shared traversal passes run — one per path-template group ×
-    /// 64-condition mask chunk on both deployments (multi-source mask
-    /// BFS passes on a single graph, masked fixpoints on a sharded
-    /// one), so the column is comparable across backends.
+    /// Shared traversal passes run — one per 64-condition chunk of the
+    /// bundle's shared-prefix plan on every deployment (masked plan
+    /// passes on a single graph, masked fixpoints on a sharded one), or
+    /// one per condition under the per-condition strategy — so the
+    /// column is comparable across backends.
     pub traversals: usize,
     /// Fixpoint rounds across those traversals. Equals `traversals` on
     /// a single graph (one pass is one "round"); on a sharded
@@ -89,7 +90,7 @@ pub struct ReadStats {
     /// Automaton layers of the shared-prefix bundle plan
     /// ([`crate::query::BundlePlan`]) the batched read compiled — each
     /// shared prefix counted **once**. Zero when no bundle plan was
-    /// compiled (targeted reads, empty bundles).
+    /// compiled (targeted and per-condition reads, empty bundles).
     pub plan_states: usize,
     /// Automaton layers the same bundle occupies with one chain per
     /// condition (no sharing). `1 − plan_states / expr_states` is the

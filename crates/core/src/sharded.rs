@@ -24,52 +24,50 @@
 //! # Cross-shard reads
 //!
 //! Every read fans out over the shards through the existing `&self`
-//! epoch read path. A path-expression evaluation runs a **round-based
-//! fixpoint** of per-shard seeded product BFS
-//! ([`online::evaluate_seeded`]):
+//! epoch read path. A read runs a **round-based fixpoint** of per-shard
+//! seeded runs of the masked plan engine
+//! ([`crate::query::evaluate_plan_batch_seeded`]):
 //!
-//! 1. Round 0 seeds the owner's home shard at product state
-//!    `(owner, step 0, depth 0)`.
+//! 1. Round 0 seeds each condition's owner on the owner's home shard
+//!    at product state `(owner, root plan node, depth 0)`, carrying
+//!    the condition's mask bit.
 //! 2. Each active shard traverses its local CSR snapshot. Whenever the
-//!    walk visits a state at a ghost, that `(member, step, depth)`
-//!    coordinate is exported.
-//! 3. The router forwards every newly seen export to the member's home
-//!    shard — the one place that has the member's full adjacency — and
-//!    the next round begins. States are deduplicated globally, so the
-//!    fixpoint terminates after at most |V| · |layers| imports.
+//!    walk visits a state at a ghost, that `(member, node, depth)`
+//!    coordinate is exported with the bits that newly arrived there
+//!    ([`MaskedStateKey`]).
+//! 3. The router forwards every export's **new** bits to the member's
+//!    home shard — the one place that has the member's full adjacency
+//!    — and the next round begins. The fixpoint ends when no new bit
+//!    moves.
 //!
-//! Rounds with several active shards evaluate them on **parallel
-//! scoped threads**; decisions, audiences and witnesses are
+//! Each shard's visited/mask state persists across the rounds of one
+//! fixpoint ([`crate::query::PlanBatchState`]), so a walk that
+//! ping-pongs through one shard k times expands each product state at
+//! most once per arriving bit: total work is linear in the explored
+//! region. Rounds with several active shards run them on **parallel
+//! scoped threads** (one round function, [`ShardedSystem`]'s
+//! `run_masked_round`, owns that fan-out policy); results are
 //! deterministic regardless of the interleaving because exports are
-//! merged in shard order. Witnesses stitch per-shard walk segments:
-//! the granting shard returns the segment from its seed to the
-//! requester, and the router replays exporting runs backwards
-//! ([`online::SeededTarget::State`]) until it reaches the owner seed.
+//! merged in shard order.
 //!
-//! # Batched reads (one fixpoint per bundle)
+//! Two shapes use the fixpoint:
 //!
-//! The per-condition fixpoint above is the targeted-check/witness
-//! primitive. Bundle reads — [`ShardedSystem::audience_batch`] and
-//! [`ShardedSystem::check_batch`] — run the **masked** variant
-//! instead: the bundle's distinct conditions are grouped by path
-//! expression and each group's owners traverse together through one
-//! round-based fixpoint of per-shard seeded mask BFS
-//! ([`online::evaluate_audience_batch_seeded`]), every product state
-//! carrying a bitmask of the conditions that reached it. Boundary
-//! exports carry those masks ([`MaskedStateKey`]; groups wider than 64
-//! conditions chunk into further mask words), and the router forwards
-//! only bits it has not forwarded before. Each shard's visited/mask
-//! state **persists across rounds** of the evaluation
-//! ([`online::SeededBatchState`]), so a walk that ping-pongs through
-//! one shard k times expands each product state at most once per
-//! arriving bit — total work is linear in the explored region, where
-//! re-seeding fresh visited sets each round (what the per-condition
-//! fixpoint does) is quadratic on such paths. Decisions for
-//! `check_batch` fall out of the materialized audiences (a requester
-//! is granted exactly when a rule's every condition-audience contains
-//! them), and grants needing a human-readable walk (`explain`) replay
-//! the targeted per-condition fixpoint, which reconstructs stitched
-//! witnesses.
+//! * **Bundles** ([`AccessService::audience_batch`],
+//!   [`AccessService::check_batch`]) compile every distinct condition
+//!   into one shared-prefix trie ([`crate::query::BundlePlan`]) and run
+//!   one fixpoint per 64-condition chunk. A bundle that overflows the
+//!   plan's `u16` node budget runs one condition at a time instead
+//!   (the per-condition strategy). Decisions for `check_batch` fall out
+//!   of the materialized audiences: a requester is granted exactly when
+//!   a rule's every condition audience contains them.
+//! * **Targeted checks** (`check`, `explain`) run one condition as a
+//!   one-bit fixpoint over its one-chain plan
+//!   ([`crate::query::BundlePlan::chain`], node ids = step indexes).
+//!   The requester's home shard early-exits the moment the requester
+//!   is accepted, and every engine keeps first-arrival parent
+//!   pointers, so the witness is stitched by tracing the per-shard
+//!   chains back through the shards that exported each hand-off — no
+//!   run is replayed.
 //!
 //! # Mutations
 //!
@@ -83,12 +81,13 @@
 
 use crate::engine::{Enforcer, OnlineEngine};
 use crate::error::EvalError;
-use crate::online::{
-    self, MaskedSeedState, SeedState, SeededBatchOutcome, SeededBatchState, SeededOutcome,
-    SeededTarget, WitnessHop,
-};
+use crate::online::WitnessHop;
 use crate::path::PathExpr;
 use crate::policy::{Decision, PolicyStore, ResourceId};
+use crate::query::{
+    evaluate_plan_batch_seeded, BundlePlan, ChunkMasks, MaskedSeedState, PlanBatchState,
+    SeededBatchOutcome,
+};
 use crate::service::{
     AccessService, BundleStrategy, CheckPlan, Explanation, MutateService, ReadStats, WalkHop,
     WitnessWalk,
@@ -103,7 +102,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A cross-shard product-state coordinate: global member, step index,
+/// A cross-shard product-state coordinate: global member, plan node,
 /// saturated depth.
 type StateKey = (u32, u16, u32);
 
@@ -130,9 +129,8 @@ pub struct ShardedEval {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BundleFixpointStats {
     /// Masked fixpoints run: one per 64-condition chunk of the shared
-    /// trie plan (the default), or one per (path group, 64-condition
-    /// chunk) under `SOCIALREACH_BUNDLE_PLAN=grouped` — *not* one per
-    /// condition either way.
+    /// trie plan — *not* one per condition — or one per condition when
+    /// the bundle ran per condition.
     pub fixpoints: usize,
     /// Fixpoint rounds across all of them.
     pub rounds: usize,
@@ -142,11 +140,12 @@ pub struct BundleFixpointStats {
     pub states_expanded: Vec<usize>,
     /// Masked boundary exports the router forwarded (new bits only).
     pub exported_states: usize,
-    /// Automaton states the shared trie plan occupies (zero in grouped
-    /// mode) — see [`crate::query::BundlePlan::plan_states`].
+    /// Automaton states the shared trie plan occupies (zero when the
+    /// bundle ran per condition) — see
+    /// [`crate::query::BundlePlan::plan_states`].
     pub plan_states: usize,
     /// Automaton states one-chain-per-condition evaluation would
-    /// occupy (zero in grouped mode).
+    /// occupy (zero when the bundle ran per condition).
     pub expr_states: usize,
 }
 
@@ -155,6 +154,20 @@ impl BundleFixpointStats {
         BundleFixpointStats {
             states_expanded: vec![0; shards],
             ..BundleFixpointStats::default()
+        }
+    }
+
+    /// The uniform census of a read over `conditions` deduped
+    /// conditions.
+    fn read_stats(&self, conditions: usize) -> ReadStats {
+        ReadStats {
+            conditions,
+            traversals: self.fixpoints,
+            rounds: self.rounds,
+            states_expanded: self.states_expanded.iter().sum(),
+            exported_states: self.exported_states,
+            plan_states: self.plan_states,
+            expr_states: self.expr_states,
         }
     }
 }
@@ -210,15 +223,6 @@ struct MemberEntry {
     local: NodeId,
     /// `(shard, local id)` of each ghost replica.
     ghosts: Vec<(u32, NodeId)>,
-}
-
-/// A seeded run of one shard, recorded so witness reconstruction can
-/// replay it.
-struct RunRecord {
-    shard: usize,
-    seeds: Vec<SeedState>,
-    /// `keys[i]` is the global coordinate of `seeds[i]`.
-    keys: Vec<StateKey>,
 }
 
 /// The sharded serving façade: the [`crate::AccessControlSystem`] API
@@ -582,56 +586,12 @@ impl ShardedSystem {
         self
     }
 
-    /// Decides whether `requester` may access `rid` (same semantics as
-    /// the single-graph enforcer: owner always granted, rules disjoin,
-    /// conditions within a rule conjoin, no rules ⇒ private).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        AccessService::check(self, rid, requester)
-    }
-
-    /// Decides a batch of requests through **one** masked cross-shard
-    /// fixpoint per bundle ([`AccessService::check_batch`] on this
-    /// backend).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        AccessService::check_batch(self, requests, threads)
-    }
-
-    /// The full audience of a resource (global member ids, sorted).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience(&self, rid: ResourceId) -> Result<Vec<NodeId>, EvalError> {
-        AccessService::audience(self, rid)
-    }
-
-    /// Audiences of a whole bundle of resources, in `rids` order.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience_batch(&self, rids: &[ResourceId]) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        AccessService::audience_batch(self, rids)
-    }
-
-    /// [`ShardedSystem`]'s bundle audiences plus the uniform work
-    /// census.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience_batch_with_stats(
-        &self,
-        rids: &[ResourceId],
-    ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
-        AccessService::audience_batch_with_stats(self, rids)
-    }
-
-    /// The pre-amortization bundle path, retained as the comparison
+    /// The per-condition bundle strategy, retained as the comparison
     /// baseline (bench P12) and differential-test oracle: every
-    /// distinct condition runs its **own** per-condition cross-shard
-    /// fixpoint, with fresh per-round visited state. Semantics are
-    /// identical to [`ShardedSystem::audience_batch`]; the batched
-    /// engine exists because this shape pays `O(conditions × rounds)`
-    /// shard passes and re-traverses explored regions on paths that
-    /// ping-pong across a boundary.
+    /// distinct condition runs its **own** one-condition cross-shard
+    /// fixpoint instead of sharing a plan traversal with the rest of
+    /// the bundle. Semantics are identical to
+    /// [`AccessService::audience_batch`].
     pub fn audience_batch_per_condition(
         &self,
         rids: &[ResourceId],
@@ -642,23 +602,16 @@ impl ShardedSystem {
     /// [`ShardedSystem::audience_batch_per_condition`] plus the
     /// bundle's cumulative work census — the
     /// [`crate::BundleStrategy::PerCondition`] entry point the planner
-    /// dispatches to. Each deduped condition's fixpoint reports one
-    /// condition / one traversal; absorbing them yields the uniform
-    /// bundle census.
+    /// dispatches to.
     pub fn audience_batch_per_condition_with_stats(
         &self,
         rids: &[ResourceId],
     ) -> Result<(Vec<Vec<NodeId>>, ReadStats), EvalError> {
         let mut stats = ReadStats::default();
         let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
-            Ok(uniq
-                .iter()
-                .map(|&(owner, path)| {
-                    let (eval, s) = self.evaluate_condition_with_stats(owner, path, None);
-                    stats.absorb(&s);
-                    eval.matched
-                })
-                .collect())
+            let (audiences, s) = self.evaluate_conditions_per_condition(uniq);
+            stats = s.read_stats(uniq.len());
+            Ok(audiences)
         })?;
         Ok((audiences, stats))
     }
@@ -725,17 +678,6 @@ impl ShardedSystem {
         ))
     }
 
-    /// Explains a grant as human-readable walk lines, stitched across
-    /// shard boundaries, or `None` when access is denied.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Vec<String>>, EvalError> {
-        AccessService::explain_lines(self, rid, requester)
-    }
-
     /// Publishes every shard's snapshot for its current topology and
     /// returns them (index-aligned with the shards).
     fn publish_all(&self) -> Vec<Arc<CsrSnapshot>> {
@@ -750,350 +692,91 @@ impl ShardedSystem {
     }
 
     /// Evaluates one access condition `(owner, path)` across the
-    /// shards: the round-based seeded-BFS fixpoint of the module docs.
-    /// With `target = Some(v)` the evaluation short-circuits on grant
-    /// and reconstructs a stitched witness; with `None` it materializes
-    /// the full (global) audience.
+    /// shards. With `target = Some(v)` this is the targeted check
+    /// ([`ShardedSystem::evaluate_condition_targeted_with_stats`]:
+    /// early exit on grant, stitched witness, empty `matched`); with
+    /// `None` it materializes the full (global) audience through a
+    /// one-condition batched fixpoint.
     pub fn evaluate_condition(
         &self,
         owner: NodeId,
         path: &PathExpr,
         target: Option<NodeId>,
     ) -> ShardedEval {
-        self.evaluate_condition_with_stats(owner, path, target).0
-    }
-
-    /// [`ShardedSystem::evaluate_condition`] plus the fixpoint's
-    /// uniform work census: one condition and one traversal (this
-    /// fixpoint), `rounds` cross-shard round-trips, the product states
-    /// the per-shard seeded evaluations expanded, and the boundary
-    /// states exported between shards.
-    pub fn evaluate_condition_with_stats(
-        &self,
-        owner: NodeId,
-        path: &PathExpr,
-        target: Option<NodeId>,
-    ) -> (ShardedEval, ReadStats) {
-        let mut stats = ReadStats {
-            conditions: 1,
-            traversals: 1,
-            ..ReadStats::default()
-        };
-        if path.is_empty() {
-            let granted = target == Some(owner);
-            return (
-                ShardedEval {
-                    matched: if target.is_none() {
-                        vec![owner]
-                    } else {
-                        vec![]
-                    },
-                    granted,
-                    witness: granted.then(Vec::new),
-                },
-                stats,
-            );
-        }
-        let snaps = self.publish_all();
-
-        let owner_entry = &self.members[owner.index()];
-        let mut imported: HashSet<StateKey> = HashSet::new();
-        let mut queues: Vec<(Vec<SeedState>, Vec<StateKey>)> =
-            (0..self.shards.len()).map(|_| Default::default()).collect();
-        let owner_key: StateKey = (owner.0, 0, 0);
-        imported.insert(owner_key);
-        queues[owner_entry.home as usize]
-            .0
-            .push((owner_entry.local, 0, 0));
-        queues[owner_entry.home as usize].1.push(owner_key);
-
-        let mut matched: Vec<NodeId> = Vec::new();
-        let mut runs: Vec<RunRecord> = Vec::new();
-        let mut origin: HashMap<StateKey, usize> = HashMap::new();
-        let mut grant: Option<(usize, Vec<WitnessHop>, usize)> = None;
-
-        while grant.is_none() {
-            let round: Vec<(usize, Vec<SeedState>, Vec<StateKey>)> = queues
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, q)| !q.0.is_empty())
-                .map(|(i, q)| {
-                    let (seeds, keys) = std::mem::take(q);
-                    (i, seeds, keys)
-                })
-                .collect();
-            if round.is_empty() {
-                break;
+        match target {
+            Some(requester) => {
+                self.evaluate_condition_targeted_with_stats(owner, path, requester)
+                    .0
             }
-            stats.rounds += 1;
-            let outs = self.run_round(&round, &snaps, path, target);
-
-            // Merge in shard order: deterministic regardless of the
-            // fan-out interleaving.
-            for ((shard_ix, seeds, keys), out) in round.into_iter().zip(outs) {
-                let run_ix = runs.len();
-                stats.states_expanded += out.stats.states_visited;
-                runs.push(RunRecord {
-                    shard: shard_ix,
-                    seeds,
-                    keys,
-                });
-                let shard = &self.shards[shard_ix];
-                for m in &out.matched {
-                    if !shard.ghost[m.index()] {
-                        matched.push(shard.globals[m.index()]);
-                    }
-                }
-                if out.hit {
-                    let (hops, seed_ix) = out.witness.expect("hit carries a witness");
-                    grant = Some((run_ix, hops, seed_ix));
-                    break;
-                }
-                for &(node, step, depth) in &out.reached {
-                    let global = shard.globals[node.index()];
-                    let key: StateKey = (global.0, step, depth);
-                    if imported.insert(key) {
-                        stats.exported_states += 1;
-                        origin.insert(key, run_ix);
-                        let entry = &self.members[global.index()];
-                        let q = &mut queues[entry.home as usize];
-                        q.0.push((entry.local, step, depth));
-                        q.1.push(key);
-                    }
-                }
-            }
-        }
-
-        let witness = grant.map(|(run_ix, hops, seed_ix)| {
-            self.stitch_witness(
-                &runs, &snaps, path, owner_key, run_ix, hops, seed_ix, &origin,
-            )
-        });
-        matched.sort_unstable();
-        matched.dedup();
-        (
-            ShardedEval {
-                matched,
-                granted: witness.is_some(),
-                witness,
+            None => ShardedEval {
+                matched: self
+                    .evaluate_conditions_per_condition(&[(owner, path)])
+                    .0
+                    .pop()
+                    .expect("one audience per condition"),
+                granted: false,
+                witness: None,
             },
-            stats,
-        )
-    }
-
-    /// Runs one fixpoint round: each active shard evaluates its seeds
-    /// over its published snapshot — on parallel scoped threads when
-    /// several shards are active, inline when one is.
-    fn run_round(
-        &self,
-        round: &[(usize, Vec<SeedState>, Vec<StateKey>)],
-        snaps: &[Arc<CsrSnapshot>],
-        path: &PathExpr,
-        target: Option<NodeId>,
-    ) -> Vec<SeededOutcome> {
-        let eval = |shard_ix: usize, seeds: &[SeedState]| {
-            let shard = &self.shards[shard_ix];
-            let shard_target = match target {
-                Some(t) if self.members[t.index()].home as usize == shard_ix => {
-                    SeededTarget::Member(self.members[t.index()].local)
-                }
-                _ => SeededTarget::Audience,
-            };
-            online::evaluate_seeded(
-                &shard.graph,
-                &snaps[shard_ix],
-                path,
-                seeds,
-                &shard.ghost,
-                shard_target,
-            )
-        };
-        // Fan out only when it can pay: several active shards *and*
-        // actual hardware parallelism (a scoped spawn per shard per
-        // round is pure overhead on one core).
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        if round.len() == 1 || cores == 1 {
-            return round
-                .iter()
-                .map(|(shard_ix, seeds, _)| eval(*shard_ix, seeds))
-                .collect();
         }
-        std::thread::scope(|scope| {
-            let eval = &eval;
-            let handles: Vec<_> = round
-                .iter()
-                .map(|(shard_ix, seeds, _)| scope.spawn(move || eval(*shard_ix, seeds)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard evaluation panicked"))
-                .collect()
-        })
     }
 
     /// Evaluates a bundle's distinct access conditions through the
-    /// masked batch fixpoint. By default the whole bundle compiles into
-    /// one shared-prefix trie and runs through
-    /// [`ShardedSystem::evaluate_conditions_planned`]: shared prefixes
-    /// traverse once per 64-condition chunk, masks fork at divergence
-    /// points. Under `SOCIALREACH_BUNDLE_PLAN=grouped` (or on `u16`
-    /// plan-node overflow) conditions instead group by identical path
-    /// expression; each group's owners become condition bits of a
-    /// seeded mask BFS (64 per mask word — wider groups chunk into
-    /// further words with no cross-talk), and **one** round-based
-    /// fixpoint per chunk serves every condition in it. Per-shard
-    /// visited/mask state persists across the rounds of a chunk
-    /// ([`online::SeededBatchState`]), so total work is linear in the
-    /// explored region per condition bit. Returns each condition's
+    /// masked batch fixpoint: the whole bundle compiles into one
+    /// shared-prefix trie ([`crate::query::BundlePlan`]) and every
+    /// 64-condition chunk runs **one** round-based fixpoint, shared
+    /// prefixes traversed once and condition masks forked at divergence
+    /// points. A bundle that overflows the plan's `u16` node budget
+    /// runs one condition at a time instead. Returns each condition's
     /// audience (global ids, sorted) in `conds` order, plus the work
     /// census.
     pub fn evaluate_conditions_batched(
         &self,
         conds: &[(NodeId, &PathExpr)],
     ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
+        let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
+        match BundlePlan::compile(&paths) {
+            Some(plan) => self.evaluate_conditions_planned(conds, &plan),
+            None => self.evaluate_conditions_per_condition(conds),
+        }
+    }
+
+    /// The per-condition strategy: each condition runs its own
+    /// one-chain fixpoint (fresh engines per condition). One path's
+    /// plan always compiles — the parsers cap paths at
+    /// [`crate::path::MAX_STEPS`] — and shares nothing, so the census
+    /// leaves the plan/expression state counts at zero.
+    fn evaluate_conditions_per_condition(
+        &self,
+        conds: &[(NodeId, &PathExpr)],
+    ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
         let mut stats = BundleFixpointStats::new(self.shards.len());
-        let mut audiences: Vec<Vec<NodeId>> = vec![Vec::new(); conds.len()];
-        if conds.is_empty() {
-            return (audiences, stats);
-        }
-        if !crate::query::grouped_plan_forced() {
-            let paths: Vec<&PathExpr> = conds.iter().map(|&(_, p)| p).collect();
-            if let Some(plan) = crate::query::BundlePlan::compile(&paths) {
-                return self.evaluate_conditions_planned(conds, &plan);
-            }
-        }
-        let snaps = self.publish_all();
-
-        // Group condition indices by equal path (bundles reuse a small
-        // set of templates, so the quadratic probe stays tiny).
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, &(_, path)) in conds.iter().enumerate() {
-            match groups.iter_mut().find(|(rep, _)| conds[*rep].1 == path) {
-                Some((_, members)) => members.push(i),
-                None => groups.push((i, vec![i])),
-            }
-        }
-
-        for (rep, members) in groups {
-            let path = conds[rep].1;
-            if path.is_empty() {
-                for &ci in &members {
-                    audiences[ci] = vec![conds[ci].0];
+        let audiences = conds
+            .iter()
+            .map(|&cond| {
+                let plan = BundlePlan::compile(&[cond.1])
+                    .expect("the parsers cap a path at u16::MAX steps");
+                let (mut audiences, s) = self.evaluate_conditions_planned(&[cond], &plan);
+                stats.fixpoints += s.fixpoints;
+                stats.rounds += s.rounds;
+                stats.exported_states += s.exported_states;
+                for (total, n) in stats.states_expanded.iter_mut().zip(s.states_expanded) {
+                    *total += n;
                 }
-                continue;
-            }
-            // The router-side record of bits already forwarded, shared
-            // across the group's chunks (the word index keys them
-            // apart).
-            let mut imported = MaskedExportSet::new();
-            for (word, chunk) in members.chunks(64).enumerate() {
-                let word = word as u32;
-                stats.fixpoints += 1;
-                // Engines materialize lazily, on a shard's first seed
-                // delivery: shards the chunk's traversal never touches
-                // never allocate mask arrays.
-                let mut engines: Vec<Option<SeededBatchState>> =
-                    (0..self.shards.len()).map(|_| None).collect();
-                let mut pending: Vec<Vec<MaskedSeedState>> = vec![Vec::new(); self.shards.len()];
-                for (bit, &ci) in chunk.iter().enumerate() {
-                    let owner = conds[ci].0;
-                    let entry = &self.members[owner.index()];
-                    imported.insert(
-                        MaskedStateKey {
-                            member: owner.0,
-                            step: 0,
-                            depth: 0,
-                            word,
-                        },
-                        1 << bit,
-                    );
-                    pending[entry.home as usize].push((entry.local, 0, 0, 1 << bit));
-                }
-
-                loop {
-                    let round: Vec<(usize, Vec<MaskedSeedState>)> = pending
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(_, seeds)| !seeds.is_empty())
-                        .map(|(i, seeds)| (i, std::mem::take(seeds)))
-                        .collect();
-                    if round.is_empty() {
-                        break;
-                    }
-                    stats.rounds += 1;
-                    let outs =
-                        self.run_masked_round(&round, &mut engines, &snaps, path, None, false);
-
-                    // Merge in shard order: deterministic regardless
-                    // of the fan-out interleaving.
-                    for ((shard_ix, _), out) in round.iter().zip(outs) {
-                        let shard = &self.shards[*shard_ix];
-                        for &(m, bits) in &out.matched {
-                            if shard.ghost[m.index()] {
-                                continue; // only the home shard speaks
-                            }
-                            let global = shard.globals[m.index()];
-                            let mut b = bits;
-                            while b != 0 {
-                                let bit = b.trailing_zeros() as usize;
-                                b &= b - 1;
-                                audiences[chunk[bit]].push(global);
-                            }
-                        }
-                        for &(m, step, depth, bits) in &out.exports {
-                            let global = shard.globals[m.index()];
-                            let key = MaskedStateKey {
-                                member: global.0,
-                                step,
-                                depth,
-                                word,
-                            };
-                            let new = imported.insert(key, bits);
-                            if new != 0 {
-                                stats.exported_states += 1;
-                                let entry = &self.members[global.index()];
-                                pending[entry.home as usize].push((entry.local, step, depth, new));
-                            }
-                        }
-                    }
-                }
-
-                for (i, engine) in engines.iter().enumerate() {
-                    if let Some(engine) = engine {
-                        stats.states_expanded[i] += engine.states_expanded();
-                    }
-                }
-            }
-        }
-
-        for audience in &mut audiences {
-            audience.sort_unstable();
-            // Each (member, bit) pair is reported at most once (the
-            // engine's matched masks persist), so this is a no-op kept
-            // as a guard.
-            audience.dedup();
-        }
+                audiences.pop().expect("one audience per condition")
+            })
+            .collect();
         (audiences, stats)
     }
 
-    /// The trie half of [`ShardedSystem::evaluate_conditions_batched`]:
-    /// runs the whole bundle's compiled shared-prefix plan as **one**
-    /// cross-shard fixpoint per 64-condition chunk. Seeds carry the
-    /// condition's *root plan node* in the `step` slot of the masked
-    /// state key, so exports, imports and re-seeds flow through the
-    /// identical round machinery as the grouped path — the plan node id
-    /// plays the role the linear automaton's step index plays there,
-    /// and per-bit reachability is step-for-step the linear automaton
-    /// of that bit's own chain (see [`crate::query::plan`]).
+    /// Runs a compiled bundle plan as **one** cross-shard fixpoint per
+    /// 64-condition chunk. Seeds carry the condition's *root plan node*
+    /// in the node slot of the masked state key; per-bit reachability
+    /// is step-for-step the linear automaton of that bit's own chain
+    /// (see [`crate::query::plan`]).
     fn evaluate_conditions_planned(
         &self,
         conds: &[(NodeId, &PathExpr)],
-        plan: &crate::query::BundlePlan,
+        plan: &BundlePlan,
     ) -> (Vec<Vec<NodeId>>, BundleFixpointStats) {
         let mut stats = BundleFixpointStats::new(self.shards.len());
         stats.plan_states = plan.plan_states();
@@ -1118,8 +801,9 @@ impl ShardedSystem {
             stats.fixpoints += 1;
             let masks = plan.chunk_masks(chunk);
             // Engines materialize lazily, on a shard's first seed
-            // delivery, exactly as in the grouped path.
-            let mut engines: Vec<Option<crate::query::PlanBatchState>> =
+            // delivery: shards the chunk's traversal never touches
+            // never allocate mask arrays.
+            let mut engines: Vec<Option<PlanBatchState>> =
                 (0..self.shards.len()).map(|_| None).collect();
             let mut pending: Vec<Vec<MaskedSeedState>> = vec![Vec::new(); self.shards.len()];
             for (bit, &ci) in chunk.iter().enumerate() {
@@ -1149,7 +833,8 @@ impl ShardedSystem {
                     break;
                 }
                 stats.rounds += 1;
-                let outs = self.run_masked_plan_round(&round, &mut engines, &snaps, plan, &masks);
+                let outs =
+                    self.run_masked_round(&round, &mut engines, &snaps, &plan.nodes, &masks, None);
 
                 // Merge in shard order: deterministic regardless of the
                 // fan-out interleaving.
@@ -1199,30 +884,30 @@ impl ShardedSystem {
         (audiences, stats)
     }
 
-    /// [`ShardedSystem::run_masked_round`] for the trie plan: each
-    /// active shard drains its seeded frontier through the plan engine
-    /// ([`crate::query::evaluate_plan_batch_seeded`]) over its pinned
-    /// snapshot and round-persistent per-node mask state — on parallel
-    /// scoped threads when several shards are active. The plan path has
-    /// no targeted early-exit and no parent tracking; `check`/`explain`
-    /// stay on the linear engine.
-    fn run_masked_plan_round(
+    /// Runs one masked fixpoint round: each active shard drains its
+    /// seeded frontier through the plan engine over its pinned snapshot
+    /// and round-persistent mask state — on parallel scoped threads
+    /// when several shards are active and the host has real cores,
+    /// inline otherwise. This is the one place the in-process backend
+    /// decides its per-round fan-out. With `stop = Some((shard,
+    /// local))` that shard's run early-exits when the member is
+    /// accepted, and engines materialize with first-arrival parent
+    /// tracking (the targeted path).
+    fn run_masked_round(
         &self,
         round: &[(usize, Vec<MaskedSeedState>)],
-        engines: &mut [Option<crate::query::PlanBatchState>],
+        engines: &mut [Option<PlanBatchState>],
         snaps: &[Arc<CsrSnapshot>],
-        plan: &crate::query::BundlePlan,
-        masks: &crate::query::ChunkMasks,
+        nodes: &[crate::query::PlanNode],
+        masks: &ChunkMasks,
+        stop: Option<(usize, NodeId)>,
     ) -> Vec<SeededBatchOutcome> {
         // Pair each active shard with the mutable borrow of its engine
         // (materialized on first activation); `round` is in ascending
         // shard order, so one pass over `iter_mut` yields the disjoint
         // borrows.
-        let mut tasks: Vec<(
-            usize,
-            &Vec<MaskedSeedState>,
-            &mut crate::query::PlanBatchState,
-        )> = Vec::with_capacity(round.len());
+        let mut tasks: Vec<(usize, &Vec<MaskedSeedState>, &mut PlanBatchState)> =
+            Vec::with_capacity(round.len());
         let mut it = engines.iter_mut().enumerate();
         for (shard_ix, seeds) in round {
             let slot = loop {
@@ -1233,22 +918,25 @@ impl ShardedSystem {
             };
             let engine = slot.get_or_insert_with(|| {
                 let shard = &self.shards[*shard_ix];
-                crate::query::PlanBatchState::new(&shard.graph, &snaps[*shard_ix], &plan.nodes)
+                if stop.is_some() {
+                    PlanBatchState::with_parents(&shard.graph, &snaps[*shard_ix], nodes)
+                } else {
+                    PlanBatchState::new(&shard.graph, &snaps[*shard_ix], nodes)
+                }
             });
             tasks.push((*shard_ix, seeds, engine));
         }
-        let eval = |shard_ix: usize,
-                    seeds: &[MaskedSeedState],
-                    engine: &mut crate::query::PlanBatchState| {
+        let eval = |shard_ix: usize, seeds: &[MaskedSeedState], engine: &mut PlanBatchState| {
             let shard = &self.shards[shard_ix];
-            crate::query::evaluate_plan_batch_seeded(
+            evaluate_plan_batch_seeded(
                 &shard.graph,
                 &snaps[shard_ix],
-                &plan.nodes,
+                nodes,
                 masks,
                 engine,
                 seeds,
                 &shard.ghost,
+                stop.filter(|&(s, _)| s == shard_ix).map(|(_, l)| l),
             )
         };
         static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -1276,21 +964,16 @@ impl ShardedSystem {
         })
     }
 
-    /// Targeted single-condition evaluation through the **masked
-    /// seeded engine**: does `requester` satisfy `(owner, path)`? The
-    /// condition runs as a 1-bit bundle (bit 0, word 0) of the same
-    /// cross-shard fixpoint that serves batched audiences —
-    /// round-persistent per-shard mask state keeps the work linear in
-    /// the explored region even when a walk ping-pongs across a
-    /// boundary — with two targeted extras: the requester's home shard
-    /// **early-exits** the moment the requester completes the final
-    /// step, and every engine tracks first-arrival parent pointers so
-    /// the stitched witness is read off the persistent chains
-    /// ([`ShardedSystem::stitch_traced`]) instead of replaying runs.
-    ///
-    /// This replaces the legacy per-condition fixpoint (fresh
-    /// per-round visited state) for single `check`/`explain`;
-    /// `matched` is always empty — audiences go through
+    /// Targeted single-condition evaluation: does `requester` satisfy
+    /// `(owner, path)`? The condition runs as a one-bit fixpoint over
+    /// its one-chain plan (node ids = step indexes), with two targeted
+    /// extras: the requester's home shard **early-exits** the moment
+    /// the requester is accepted, and every engine tracks first-arrival
+    /// parent pointers so the stitched witness is read off the
+    /// persistent chains ([`ShardedSystem::stitch_traced`]) instead of
+    /// replaying runs. Round-persistent per-shard state keeps the work
+    /// linear in the explored region even when a walk ping-pongs across
+    /// a boundary. `matched` is always empty — audiences go through
     /// [`ShardedSystem::evaluate_conditions_batched`].
     pub fn evaluate_condition_targeted_with_stats(
         &self,
@@ -1315,13 +998,14 @@ impl ShardedSystem {
             );
         }
         let snaps = self.publish_all();
+        let (plan, masks) = BundlePlan::chain(path);
         let req_entry = &self.members[requester.index()];
         let stop = (req_entry.home as usize, req_entry.local);
 
         let owner_entry = &self.members[owner.index()];
         let mut imported = MaskedExportSet::new();
         let mut origin: HashMap<StateKey, usize> = HashMap::new();
-        let mut engines: Vec<Option<SeededBatchState>> =
+        let mut engines: Vec<Option<PlanBatchState>> =
             (0..self.shards.len()).map(|_| None).collect();
         let mut pending: Vec<Vec<MaskedSeedState>> = vec![Vec::new(); self.shards.len()];
         imported.insert(
@@ -1347,7 +1031,14 @@ impl ShardedSystem {
                 break;
             }
             stats.rounds += 1;
-            let outs = self.run_masked_round(&round, &mut engines, &snaps, path, Some(stop), true);
+            let outs = self.run_masked_round(
+                &round,
+                &mut engines,
+                &snaps,
+                &plan.nodes,
+                &masks,
+                Some(stop),
+            );
             for ((shard_ix, _), out) in round.iter().zip(outs) {
                 if let Some((step, depth)) = out.hit {
                     // The chain to the hit consists of states seeded in
@@ -1403,7 +1094,7 @@ impl ShardedSystem {
     #[allow(clippy::too_many_arguments)]
     fn stitch_traced(
         &self,
-        engines: &[Option<SeededBatchState>],
+        engines: &[Option<PlanBatchState>],
         origin: &HashMap<StateKey, usize>,
         owner: NodeId,
         mut shard_ix: usize,
@@ -1442,132 +1133,6 @@ impl ShardedSystem {
         segments.concat()
     }
 
-    /// Runs one masked fixpoint round: each active shard drains its
-    /// seeded frontier over its pinned snapshot and round-persistent
-    /// mask state — on parallel scoped threads when several shards are
-    /// active and the host has real cores, inline otherwise. With
-    /// `stop = Some((shard, local))` that shard's run early-exits when
-    /// the member completes the final step; `parents` builds the
-    /// engines with first-arrival parent tracking (the targeted path).
-    fn run_masked_round(
-        &self,
-        round: &[(usize, Vec<MaskedSeedState>)],
-        engines: &mut [Option<SeededBatchState>],
-        snaps: &[Arc<CsrSnapshot>],
-        path: &PathExpr,
-        stop: Option<(usize, NodeId)>,
-        parents: bool,
-    ) -> Vec<SeededBatchOutcome> {
-        // Pair each active shard with the mutable borrow of its
-        // engine (materialized on first activation); `round` is in
-        // ascending shard order, so one pass over `iter_mut` yields
-        // the disjoint borrows.
-        let mut tasks: Vec<(usize, &Vec<MaskedSeedState>, &mut SeededBatchState)> =
-            Vec::with_capacity(round.len());
-        let mut it = engines.iter_mut().enumerate();
-        for (shard_ix, seeds) in round {
-            let slot = loop {
-                let (i, e) = it.next().expect("every active shard has an engine slot");
-                if i == *shard_ix {
-                    break e;
-                }
-            };
-            let engine = slot.get_or_insert_with(|| {
-                let shard = &self.shards[*shard_ix];
-                if parents {
-                    SeededBatchState::with_parents(&shard.graph, &snaps[*shard_ix], path)
-                } else {
-                    SeededBatchState::new(&shard.graph, &snaps[*shard_ix], path)
-                }
-            });
-            tasks.push((*shard_ix, seeds, engine));
-        }
-        let eval = |shard_ix: usize, seeds: &[MaskedSeedState], engine: &mut SeededBatchState| {
-            let shard = &self.shards[shard_ix];
-            online::evaluate_audience_batch_seeded_stop(
-                &shard.graph,
-                &snaps[shard_ix],
-                path,
-                engine,
-                seeds,
-                &shard.ghost,
-                stop.filter(|&(s, _)| s == shard_ix).map(|(_, l)| l),
-            )
-        };
-        static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let cores = *CORES.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-        if tasks.len() == 1 || cores == 1 {
-            return tasks
-                .into_iter()
-                .map(|(shard_ix, seeds, engine)| eval(shard_ix, seeds, engine))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let eval = &eval;
-            let handles: Vec<_> = tasks
-                .into_iter()
-                .map(|(shard_ix, seeds, engine)| scope.spawn(move || eval(shard_ix, seeds, engine)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard evaluation panicked"))
-                .collect()
-        })
-    }
-
-    /// Stitches the granting run's local segment with replays of the
-    /// exporting runs, back to the owner seed.
-    #[allow(clippy::too_many_arguments)]
-    fn stitch_witness(
-        &self,
-        runs: &[RunRecord],
-        snaps: &[Arc<CsrSnapshot>],
-        path: &PathExpr,
-        owner_key: StateKey,
-        run_ix: usize,
-        hops: Vec<WitnessHop>,
-        seed_ix: usize,
-        origin: &HashMap<StateKey, usize>,
-    ) -> Vec<ShardedHop> {
-        let mut segments: Vec<Vec<ShardedHop>> =
-            vec![self.translate_hops(runs[run_ix].shard, &hops)];
-        let mut key = runs[run_ix].keys[seed_ix];
-        while key != owner_key {
-            let prev_ix = *origin
-                .get(&key)
-                .expect("every imported state has an exporting run");
-            let rr = &runs[prev_ix];
-            let shard = &self.shards[rr.shard];
-            // The exported state lived at the member's ghost replica on
-            // the exporting shard.
-            let ghost_local = self.members[key.0 as usize]
-                .ghosts
-                .iter()
-                .find(|&&(s, _)| s as usize == rr.shard)
-                .map(|&(_, l)| l)
-                .expect("exported states live at ghost replicas");
-            let out = online::evaluate_seeded(
-                &shard.graph,
-                &snaps[rr.shard],
-                path,
-                &rr.seeds,
-                &shard.ghost,
-                SeededTarget::State(ghost_local, key.1, key.2),
-            );
-            let (hops, seed_ix) = out
-                .witness
-                .expect("replaying an exporting run reaches its export");
-            segments.push(self.translate_hops(rr.shard, &hops));
-            key = rr.keys[seed_ix];
-        }
-        segments.reverse();
-        segments.concat()
-    }
-
     /// Translates shard-local witness hops into global
     /// [`ShardedHop`]s.
     fn translate_hops(&self, shard_ix: usize, hops: &[WitnessHop]) -> Vec<ShardedHop> {
@@ -1587,8 +1152,7 @@ impl ShardedSystem {
 }
 
 /// The deployment-agnostic read surface: this impl block is the **one
-/// place** the sharded backend's reads live (the deprecated inherent
-/// methods forward here).
+/// place** the sharded backend's reads live.
 impl AccessService for ShardedSystem {
     fn describe(&self) -> String {
         format!("sharded(n={})", self.shards.len())
@@ -1614,7 +1178,7 @@ impl AccessService for ShardedSystem {
         self.vocab.label_name(label)
     }
 
-    /// A single targeted check runs the early-exiting per-condition
+    /// A single targeted check runs the early-exiting one-bit
     /// cross-shard fixpoint (same semantics as the single-graph
     /// enforcer: owner always granted, rules disjoin, conditions
     /// within a rule conjoin, no rules ⇒ private).
@@ -1623,9 +1187,8 @@ impl AccessService for ShardedSystem {
     }
 
     /// Decides a batch of requests through **one** masked cross-shard
-    /// fixpoint per bundle (per distinct path among the touched
-    /// resources' conditions), rather than one per request or per
-    /// condition: the uncached resources' condition audiences are
+    /// fixpoint per 64 distinct conditions of the touched resources,
+    /// rather than one per request or per condition: the uncached resources' condition audiences are
     /// materialized together and each request is decided by audience
     /// membership — the two are equivalent because a rule grants
     /// exactly the members in the intersection of its condition
@@ -1642,10 +1205,9 @@ impl AccessService for ShardedSystem {
     }
 
     /// Audiences of a whole bundle of resources, in `rids` order,
-    /// through **one** masked cross-shard fixpoint per bundle: the
-    /// distinct `(owner, path)` conditions are grouped by path and
-    /// each group's owners traverse together as condition bits of a
-    /// seeded mask BFS ([`ShardedSystem::evaluate_conditions_batched`]).
+    /// through **one** masked cross-shard fixpoint per 64 distinct
+    /// `(owner, path)` conditions, all of them compiled into one
+    /// shared-prefix plan ([`ShardedSystem::evaluate_conditions_batched`]).
     /// The per-resource merge semantics are the single-graph system's,
     /// literally ([`crate::engine::merge_bundle_audiences`]); the
     /// fixpoint census comes back as the uniform [`ReadStats`].
@@ -1656,15 +1218,7 @@ impl AccessService for ShardedSystem {
         let mut stats = ReadStats::default();
         let audiences = crate::engine::merge_bundle_audiences(&self.store, rids, |uniq| {
             let (audiences, s) = self.evaluate_conditions_batched(uniq);
-            stats = ReadStats {
-                conditions: uniq.len(),
-                traversals: s.fixpoints,
-                rounds: s.rounds,
-                states_expanded: s.states_expanded.iter().sum(),
-                exported_states: s.exported_states,
-                plan_states: s.plan_states,
-                expr_states: s.expr_states,
-            };
+            stats = s.read_stats(uniq.len());
             Ok(audiences)
         })?;
         Ok((audiences, stats))

@@ -1,18 +1,17 @@
 //! `AccessControlSystem` — the single-graph serving backend: members,
 //! relationships, shared resources, textual policies, and enforced
 //! access checks with pluggable engines. Reads are served through the
-//! deployment-agnostic [`AccessService`] trait (the inherent read
-//! methods are deprecated one-line forwards onto it), writes through
+//! deployment-agnostic [`AccessService`] trait, writes through
 //! [`MutateService`]; construct one via
 //! [`crate::service::Deployment::single`] to stay backend-agnostic.
 //!
 //! # Read/write split and the publication lifecycle
 //!
-//! Every **read** — [`check`](AccessControlSystem::check),
-//! [`check_batch`](AccessControlSystem::check_batch),
-//! [`audience`](AccessControlSystem::audience),
-//! [`audience_batch`](AccessControlSystem::audience_batch),
-//! [`explain`](AccessControlSystem::explain) — takes `&self`, so any
+//! Every **read** — [`check`](AccessService::check),
+//! [`check_batch`](AccessService::check_batch),
+//! [`audience`](AccessService::audience),
+//! [`audience_batch`](AccessService::audience_batch),
+//! [`explain`](AccessService::explain) — takes `&self`, so any
 //! number of requester threads can evaluate concurrently against one
 //! system (e.g. through `std::thread::scope`). Reads share the
 //! epoch-published [`CsrSnapshot`] held by the wrapped [`Enforcer`]:
@@ -207,53 +206,10 @@ impl AccessControlSystem {
         fresh
     }
 
-    /// Decides whether `requester` may access `rid`.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check(&self, rid: ResourceId, requester: NodeId) -> Result<Decision, EvalError> {
-        AccessService::check(self, rid, requester)
-    }
-
-    /// Decides a batch of requests on up to `threads` worker threads
-    /// sharing the current snapshot epoch; decisions come back in
-    /// request order ([`Enforcer::check_batch`]).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn check_batch(
-        &self,
-        requests: &[(ResourceId, NodeId)],
-        threads: usize,
-    ) -> Result<Vec<Decision>, EvalError> {
-        AccessService::check_batch(self, requests, threads)
-    }
-
-    /// The full audience of a resource: the union over rules of the
-    /// intersection over each rule's conditions (plus the owner).
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience(&self, rid: ResourceId) -> Result<Vec<NodeId>, EvalError> {
-        AccessService::audience(self, rid)
-    }
-
-    /// Audiences of a whole bundle of resources at once (a feed of
-    /// posts, an album), in `rids` order.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn audience_batch(&self, rids: &[ResourceId]) -> Result<Vec<Vec<NodeId>>, EvalError> {
-        AccessService::audience_batch(self, rids)
-    }
-
     /// Number of snapshot publications the online enforcer has made
     /// (each rebuild or incremental patch is one epoch).
     pub fn snapshot_epoch(&self) -> u64 {
         self.online.snapshot_epoch()
-    }
-
-    /// Explains a grant as human-readable walk lines, or `None` when
-    /// access is denied.
-    #[deprecated(since = "0.2.0", note = "read through the `AccessService` trait")]
-    pub fn explain(
-        &self,
-        rid: ResourceId,
-        requester: NodeId,
-    ) -> Result<Option<Vec<String>>, EvalError> {
-        AccessService::explain_lines(self, rid, requester)
     }
 
     /// Parses a policy in either syntax — classic path notation or the
@@ -289,8 +245,7 @@ impl AccessControlSystem {
 }
 
 /// The deployment-agnostic read surface: this impl block is the **one
-/// place** the single-graph backend's reads live (the deprecated
-/// inherent methods forward here).
+/// place** the single-graph backend's reads live.
 impl AccessService for AccessControlSystem {
     fn describe(&self) -> String {
         match self.choice {

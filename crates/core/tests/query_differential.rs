@@ -1,14 +1,14 @@
 //! Differential property tests for the query front-end and the
 //! shared-prefix bundle plan: on random graphs × bundle-shaped random
-//! policies, the trie-planned bundle evaluation (the default) must
-//! agree condition-for-condition with
+//! policies, the trie-planned bundle evaluation must agree
+//! condition-for-condition with
 //!
-//! 1. the identical-expression grouping it replaced
-//!    (`SOCIALREACH_BUNDLE_PLAN=grouped`),
-//! 2. the per-condition evaluation (reference engine on a single
-//!    graph, per-condition fixpoint on a sharded one), and
-//! 3. itself across deployments — single, sharded(4) and networked(2)
-//!    serve equal answers for the same ad-hoc query bundle.
+//! 1. the per-condition evaluation (the linear engine and the
+//!    reference engine on a single graph, one-condition fixpoints on a
+//!    sharded one), and
+//! 2. itself across deployments — single, sharded(4) and networked(2)
+//!    serve equal answers for the same ad-hoc query bundle, bundled or
+//!    one query at a time.
 //!
 //! The openCypher-flavored front-end rides along: rendering a path
 //! expression into `MATCH` syntax and re-parsing it is the identity
@@ -22,28 +22,8 @@ use socialreach_core::{
     ShardedSystem,
 };
 use socialreach_graph::{NodeId, ShardAssignment, SocialGraph};
-use std::sync::Mutex;
 
 const LABELS: [&str; 3] = ["friend", "colleague", "parent"];
-
-/// `SOCIALREACH_BUNDLE_PLAN` is process-global: every evaluation whose
-/// outcome depends on the plan mode runs under this lock, so the
-/// grouped-mode legs cannot race the trie-mode ones.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the bundle-plan lever forced to `grouped` (true) or
-/// restored to the trie default (false), holding the env lock.
-fn with_mode<T>(grouped: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    if grouped {
-        std::env::set_var("SOCIALREACH_BUNDLE_PLAN", "grouped");
-    } else {
-        std::env::remove_var("SOCIALREACH_BUNDLE_PLAN");
-    }
-    let out = f();
-    std::env::remove_var("SOCIALREACH_BUNDLE_PLAN");
-    out
-}
 
 // ---------------------------------------------------------------------
 // Random bundle-shaped cases (prefix sharing arises naturally from the
@@ -132,31 +112,27 @@ fn build_conds(g: &mut SocialGraph, case: &Case) -> Vec<(NodeId, PathExpr)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Trie-planned bundles ≡ identical-expression grouping ≡ the
-    /// per-condition reference, on single and sharded(4) deployments.
+    /// Trie-planned bundles ≡ per-condition evaluation ≡ the
+    /// reference engine, on single and sharded(4) deployments.
     #[test]
-    fn trie_plan_matches_grouped_and_per_condition(case in case_strategy()) {
+    fn trie_plan_matches_per_condition(case in case_strategy()) {
         let mut g = case.graph.clone();
         let conds = build_conds(&mut g, &case);
         let cond_refs: Vec<(NodeId, &PathExpr)> =
             conds.iter().map(|(o, p)| (*o, p)).collect();
 
-        // Single graph: trie vs grouped vs the reference engine.
+        // Single graph: trie vs per-condition vs the reference engine.
         let snap = g.snapshot();
-        let trie = with_mode(false, || {
-            OnlineEngine
-                .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-                .unwrap()
-        });
-        let grouped = with_mode(true, || {
-            OnlineEngine
-                .audience_batch_with_snapshot(&g, &snap, &cond_refs)
-                .unwrap()
-        });
+        let trie = OnlineEngine
+            .audience_batch_with_snapshot(&g, &snap, &cond_refs)
+            .unwrap();
         for (i, (owner, path)) in conds.iter().enumerate() {
+            let per_cond = OnlineEngine
+                .audience_with_snapshot(&g, &snap, *owner, path)
+                .unwrap();
             prop_assert_eq!(
-                &trie[i].members, &grouped[i].members,
-                "single trie vs grouped: owner={} path #{}", owner, i
+                &trie[i].members, &per_cond.members,
+                "single trie vs per-condition: owner={} path #{}", owner, i
             );
             let truth = online::evaluate_reference(&g, *owner, path, None);
             prop_assert_eq!(
@@ -165,13 +141,9 @@ proptest! {
             );
         }
 
-        // Sharded(4): trie vs grouped vs the per-condition fixpoint.
+        // Sharded(4): trie vs the per-condition fixpoint.
         let sys = ShardedSystem::from_graph(&g, ShardAssignment::hashed(4, 11));
-        let (trie_a, trie_stats) =
-            with_mode(false, || sys.evaluate_conditions_batched(&cond_refs));
-        let (grouped_a, grouped_stats) =
-            with_mode(true, || sys.evaluate_conditions_batched(&cond_refs));
-        prop_assert_eq!(&trie_a, &grouped_a, "sharded trie vs grouped");
+        let (trie_a, trie_stats) = sys.evaluate_conditions_batched(&cond_refs);
         for (i, (owner, path)) in conds.iter().enumerate() {
             let per_cond = sys.evaluate_condition(*owner, path, None);
             prop_assert_eq!(
@@ -180,11 +152,8 @@ proptest! {
             );
         }
 
-        // Census contract: the trie reports its sharing census, the
-        // grouped baseline reports none (prefix_share() → None).
+        // Census contract: the trie reports its sharing census.
         prop_assert!(trie_stats.plan_states <= trie_stats.expr_states);
-        prop_assert_eq!(grouped_stats.plan_states, 0);
-        prop_assert_eq!(grouped_stats.expr_states, 0);
         if conds.iter().any(|(_, p)| !p.is_empty()) {
             prop_assert!(trie_stats.expr_states > 0, "traversable bundles census the plan");
         }
@@ -206,7 +175,8 @@ proptest! {
 }
 
 /// The same ad-hoc query bundle answers identically on single,
-/// sharded(4) and networked(2) deployments, in both plan modes —
+/// sharded(4) and networked(2) deployments, whether the queries run
+/// as one bundle or one at a time —
 /// including a query whose relationship type no graph has interned
 /// (empty audience, never an error) and an empty-path `MATCH (owner)`
 /// (owner-only audience).
@@ -253,10 +223,15 @@ fn query_bundles_agree_across_deployments_and_modes() {
 
     let mut seen: Option<Vec<Vec<NodeId>>> = None;
     for svc in &backends {
-        for grouped in [false, true] {
-            let got = with_mode(grouped, || {
+        for bundled in [true, false] {
+            let got = if bundled {
                 svc.reads().query_audience_bundle(&queries).unwrap()
-            });
+            } else {
+                queries
+                    .iter()
+                    .map(|&q| svc.reads().query_audience_bundle(&[q]).unwrap().remove(0))
+                    .collect()
+            };
             match &seen {
                 None => {
                     // Spot-check the reference leg before fanning out.
@@ -268,9 +243,9 @@ fn query_bundles_agree_across_deployments_and_modes() {
                 Some(expect) => assert_eq!(
                     &got,
                     expect,
-                    "{} grouped={} must match the single-graph answers",
+                    "{} bundled={} must match the single-graph answers",
                     svc.reads().describe(),
-                    grouped
+                    bundled
                 ),
             }
         }
@@ -333,5 +308,76 @@ fn caret_errors_are_pinned() {
         let err = socialreach_core::parse_policy(text, &mut vocab)
             .expect_err("malformed query must be refused");
         assert_eq!(err.to_string(), expect, "golden caret error for {text:?}");
+    }
+}
+
+/// A bundle whose distinct steps overflow the plan's `u16` node budget
+/// falls back to one condition at a time: on the single, sharded(4) and
+/// networked(2) backends it answers exactly like the forced
+/// per-condition strategy (and like each other), and its census reports
+/// one traversal per condition with no plan compiled.
+#[test]
+fn plan_overflow_falls_back_to_per_condition() {
+    use socialreach_core::BundleStrategy;
+    // 480 conditions of 138 steps whose chains fork at their first or
+    // second step: 66,001 trie nodes > u16::MAX. (Many short paths
+    // rather than a few long ones keep each shipped plan small.)
+    const CONDS: usize = 480;
+    const LEN: usize = 138;
+    let tail = |n: usize| vec!["f+[1]"; n].join("/");
+    let half = CONDS / 2;
+    let mut texts: Vec<String> = (1..=half)
+        .map(|i| format!("f+[{i}]/{}", tail(LEN - 1)))
+        .collect();
+    texts.extend((1..=half).map(|i| format!("c+[1]/f+[{i}]/{}", tail(LEN - 2))));
+    let handles = socialreach_core::remote::spawn_local_fleet(2, false).expect("fleet spawns");
+    let addrs: Vec<_> = handles.iter().map(|h| h.addr().clone()).collect();
+    let mut backends = vec![
+        Deployment::online().build(),
+        Deployment::sharded(4, 7).build(),
+        Deployment::networked_with(addrs, 7).build(),
+    ];
+    let mut expect: Option<Vec<Vec<NodeId>>> = None;
+    for svc in &mut backends {
+        let w = svc.writes();
+        let m: Vec<NodeId> = ["a", "c"].iter().map(|n| w.add_user(n)).collect();
+        // Self-loops keep the long walks alive on one member each, so
+        // at most one state crosses a shard boundary: the f-conditions
+        // match {a}, the c-conditions {c}.
+        w.add_relationship(m[0], "f", m[0]);
+        w.add_relationship(m[0], "c", m[1]);
+        w.add_relationship(m[1], "f", m[1]);
+        let rids: Vec<_> = texts
+            .iter()
+            .map(|t| {
+                let rid = w.add_resource(m[0]);
+                w.add_rule(rid, t).expect("within the step cap");
+                rid
+            })
+            .collect();
+        let reads = svc.reads();
+        let name = reads.describe();
+        let (bundled, stats) = reads.audience_batch_with_stats(&rids).unwrap();
+        let (per_cond, _) = reads
+            .audience_batch_forced(&rids, BundleStrategy::PerCondition)
+            .unwrap();
+        assert_eq!(bundled, per_cond, "{name}: overflow ≡ per-condition");
+        for (i, audience) in bundled.iter().enumerate() {
+            let want = if i < half {
+                vec![m[0]]
+            } else {
+                vec![m[0], m[1]]
+            };
+            assert_eq!(audience, &want, "{name}: condition {i} (owner included)");
+        }
+        assert_eq!(
+            stats.traversals, CONDS,
+            "{name}: one traversal per condition"
+        );
+        assert_eq!(stats.prefix_share(), None, "{name}: no plan compiled");
+        match &expect {
+            None => expect = Some(bundled),
+            Some(e) => assert_eq!(&bundled, e, "{name} must match the single graph"),
+        }
     }
 }

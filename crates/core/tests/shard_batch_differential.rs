@@ -3,8 +3,7 @@
 //! per-bundle masked engine (`ShardedSystem::audience_batch` /
 //! `check_batch`) must agree condition-for-condition with
 //!
-//! 1. the single-graph multi-source batch BFS
-//!    (`online::evaluate_audience_batch`, via the engine's grouped
+//! 1. the single-graph multi-source masked plan engine (the engine's
 //!    batch path),
 //! 2. the per-condition sharded fixpoint
 //!    (`ShardedSystem::audience_batch_per_condition`), and
